@@ -1,20 +1,13 @@
 // Experiment E18 — engine scaling curves on 10^5–10^8-node Δ-regular
-// bipartite graphs: streaming generation throughput, packed-vs-generic
-// engine throughput, the SIMD-vs-scalar kernel speedup, and engine-side
-// bytes/node for the full packed algorithm roster.
+// bipartite graphs: streaming generation throughput, engine throughput, and
+// engine-side bytes/node for the full engine algorithm roster.
 //
 // One block per n = 2^e:
 //
 //   generate_streamed   in-place union-of-matchings CSR generation
 //                       (make_random_bipartite_regular_streamed), nodes/sec
-//   mis_luby_packed     RandLOCAL Luby on the packed fast path, work-stealing
-//                       schedule; node·rounds/sec and engine bytes/node.
-//                       Also run with EngineOptions::simd off — outputs are
-//                       checked bit-identical and the scalar/vector wall
-//                       ratio is recorded as simd_speedup
-//   mis_luby_generic    same runs forced onto the generic path (only up to
-//                       --generic-max-exp); the packed record carries
-//                       speedup_vs_generic, outputs checked bit-identical
+//   mis_luby_packed     RandLOCAL Luby, work-stealing schedule;
+//                       node·rounds/sec and engine bytes/node
 //   mis_ghaffari_local  RandLOCAL desire-level MIS with shattering residue
 //   matching_*_local    the handshake matchings: randomized (stateless
 //                       draws, no RNG streams) and deterministic (greedy by
@@ -61,7 +54,6 @@
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/math.hpp"
-#include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -72,8 +64,6 @@ int main(int argc, char** argv) {
   const int min_exp = static_cast<int>(flags.get_int("min-exp", 16));
   const int max_exp = static_cast<int>(flags.get_int("max-exp", 20));
   const int exp_step = static_cast<int>(flags.get_int("exp-step", 2));
-  const int generic_max_exp =
-      static_cast<int>(flags.get_int("generic-max-exp", 20));
   const int d = static_cast<int>(flags.get_int("d", 3));
   const int seeds = static_cast<int>(flags.get_int("seeds", 1));
   const bool assert_budget = flags.get_bool("assert-budget", false);
@@ -113,11 +103,10 @@ int main(int argc, char** argv) {
 
   std::cout << "E18: engine scale-up — streamed generation + packed rounds\n"
             << "Δ=" << d << "-regular bipartite, threads=" << threads
-            << ", shard_nodes=" << shard_nodes
-            << ", simd=" << simd::kBackendName << "\n\n";
-  Table t({"n", "gen Mn/s", "luby Mn·r/s", "luby B/n", "luby spd", "simd spd",
-           "cmp spd", "ghaf B/n", "mrand B/n", "mdet B/n", "p1 B/n",
-           "greedy B/n", "t10 B/n", "t11 B/n", "util"});
+            << ", shard_nodes=" << shard_nodes << "\n\n";
+  Table t({"n", "gen Mn/s", "luby Mn·r/s", "luby B/n", "ghaf B/n",
+           "mrand B/n", "mdet B/n", "p1 B/n", "greedy B/n", "t10 B/n",
+           "t11 B/n", "util"});
 
   for (int e = min_exp; e <= max_exp; e += exp_step) {
     const NodeId n = static_cast<NodeId>(1) << e;
@@ -182,9 +171,6 @@ int main(int argc, char** argv) {
     double greedy_bytes_per_node = 0.0;
     double thm10_bytes_per_node = 0.0;
     double thm11_bytes_per_node = 0.0;
-    double speedup = 0.0;
-    double simd_speedup = 0.0;
-    double simd_compact_speedup = 0.0;
     double util = 0.0;
 
     EngineOptions packed_opts;
@@ -208,8 +194,8 @@ int main(int argc, char** argv) {
 
       if (enabled("luby")) {
         // Untimed warmup: the first engine run on a fresh heap pays the page
-        // faults for cur/nxt/rng/active; without it the simd-vs-scalar and
-        // packed-vs-generic ratios measure the allocator, not the kernels.
+        // faults for cur/nxt/rng/active; without it the timed run measures
+        // the allocator, not the rounds.
         (void)mis_luby(in, 1 << 20, packed_opts);
         before = shared_pool_stats();
         Timer luby_timer;
@@ -228,77 +214,6 @@ int main(int argc, char** argv) {
           if (name == "pool_utilization") util = value;
         }
 
-        // SIMD kernels off, same packed path: bit-identical outputs, the
-        // wall ratio is the vectorization win of the steady-state loops.
-        // The engine round is gather-latency-bound, so expect ~1x end to
-        // end; the kernel-level compaction ratio below is where the vector
-        // unit shows.
-        if (simd::kHaveVectorBackend) {
-          EngineOptions scalar_opts = packed_opts;
-          scalar_opts.simd = false;
-          Timer scalar_timer;
-          const auto scalar = mis_luby(in, 1 << 20, scalar_opts);
-          const double scalar_seconds = scalar_timer.seconds();
-          CKP_CHECK_MSG(scalar.in_set == luby.in_set &&
-                            scalar.rounds == luby.rounds,
-                        "simd and scalar kernels disagree at n=" << n);
-          simd_speedup = scalar_seconds / luby_seconds;
-          rec.metric("simd_speedup", simd_speedup);
-
-          // Kernel-level compaction microbench: left-pack the node array by
-          // MIS membership (a realistic unpredictable 0/1 pattern), vector
-          // vs scalar. This isolates the halt-slab/active-compaction kernel
-          // from the gather-bound step loop.
-          std::vector<NodeId> nodes(static_cast<std::size_t>(n));
-          std::vector<NodeId> packed_out(static_cast<std::size_t>(n));
-          std::vector<std::uint8_t> member(static_cast<std::size_t>(n));
-          for (NodeId v = 0; v < n; ++v) {
-            nodes[static_cast<std::size_t>(v)] = v;
-            member[static_cast<std::size_t>(v)] =
-                luby.in_set[static_cast<std::size_t>(v)] ? 1 : 0;
-          }
-          const int reps = static_cast<int>(
-              std::max<std::int64_t>(1, (std::int64_t{1} << 24) / n));
-          std::int64_t kept = 0;
-          (void)simd::compact_by_flag(packed_out.data(), nodes.data(),
-                                      member.data(), n, true);
-          Timer vec_timer;
-          for (int r = 0; r < reps; ++r) {
-            kept += simd::compact_by_flag(packed_out.data(), nodes.data(),
-                                          member.data(), n, true);
-          }
-          const double vec_seconds = vec_timer.seconds();
-          Timer sca_timer;
-          for (int r = 0; r < reps; ++r) {
-            kept -= simd::compact_by_flag_scalar(packed_out.data(),
-                                                 nodes.data(), member.data(),
-                                                 n, true);
-          }
-          const double sca_seconds = sca_timer.seconds();
-          CKP_CHECK(kept == 0);
-          simd_compact_speedup = sca_seconds / vec_seconds;
-          rec.metric("simd_compact_speedup", simd_compact_speedup);
-        }
-
-        if (e <= generic_max_exp) {
-          EngineOptions generic_opts = packed_opts;
-          generic_opts.force_generic = true;
-          before = shared_pool_stats();
-          Timer generic_timer;
-          const auto generic = mis_luby(in, 1 << 20, generic_opts);
-          const double generic_seconds = generic_timer.seconds();
-          CKP_CHECK_MSG(generic.in_set == luby.in_set &&
-                            generic.rounds == luby.rounds,
-                        "packed and generic Luby disagree at n=" << n);
-          speedup = generic_seconds / luby_seconds;
-          rec.metric("speedup_vs_generic", speedup);
-          RunRecord grec = engine_record(
-              "mis_luby_generic", in.seed, generic.rounds, generic_seconds,
-              static_cast<double>(generic.engine_bytes) /
-                  static_cast<double>(n),
-              before);
-          reporter.add(std::move(grec));
-        }
         reporter.add(std::move(rec));
       }
 
@@ -368,20 +283,6 @@ int main(int argc, char** argv) {
                           sink_seconds, sink_bytes_per_node, before);
         srec.verified = sink.completed;
         srec.metric("unsatisfied", static_cast<double>(sink.unsatisfied));
-        if (e <= generic_max_exp) {
-          // Label-carrying algorithms are where the packed path's flat-array
-          // design pays most: the generic path keeps incident labels as one
-          // heap vector per node, so its setup makes n small allocations.
-          EngineOptions generic_opts = packed_opts;
-          generic_opts.force_generic = true;
-          Timer generic_timer;
-          const auto generic = sinkless_local(sink_in, 1 << 14, generic_opts);
-          const double generic_seconds = generic_timer.seconds();
-          CKP_CHECK_MSG(generic.orient == sink.orient &&
-                            generic.rounds == sink.rounds,
-                        "packed and generic sinkless disagree at n=" << n);
-          srec.metric("speedup_vs_generic", generic_seconds / sink_seconds);
-        }
         reporter.add(std::move(srec));
       }
 
@@ -482,9 +383,7 @@ int main(int argc, char** argv) {
     t.add_row({Table::cell(static_cast<std::int64_t>(n)),
                Table::cell(static_cast<double>(n) / gen_seconds / 1e6, 2),
                Table::cell(luby_node_rounds_per_sec / 1e6, 1),
-               Table::cell(luby_bytes_per_node, 1), Table::cell(speedup, 2),
-               Table::cell(simd_speedup, 2),
-               Table::cell(simd_compact_speedup, 2),
+               Table::cell(luby_bytes_per_node, 1),
                Table::cell(ghaffari_bytes_per_node, 1),
                Table::cell(mrand_bytes_per_node, 1),
                Table::cell(mdet_bytes_per_node, 1),
@@ -497,8 +396,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: generation and engine throughput flat in n "
                "(streaming + packed state);\nevery B/n column under its "
                "budget (greedy/mdet " << budget_bytes << ", RNG algorithms +32, "
-               "label carriers +4Δ);\npacked > 1x over generic on one core, "
-               "> 2x with >= 2 cores; simd spd >= 1 (see EXPERIMENTS.md "
-               "E18).\n";
+               "label carriers +4Δ) (see EXPERIMENTS.md E18).\n";
   return 0;
 }

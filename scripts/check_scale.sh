@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Memory-lean scale smoke: one 10^6-node (n = 2^20) Δ-regular run of
-# bench_scale on the packed fast path, with two hard gates:
+# bench_scale, with two hard gates:
 #
-#   * --assert-budget     — every packed algorithm in the roster (mis_luby,
+#   * --assert-budget     — every algorithm in the roster (mis_luby,
 #                           mis_ghaffari, matching_randomized,
 #                           matching_deterministic, plus_one, greedy_color,
 #                           sinkless, and the Δ-coloring ports
@@ -21,10 +21,6 @@
 #
 # CKP_SCALE_ALGOS (comma-separated, e.g. "luby,greedy") restricts the roster
 # for one-off investigations; the default gates everything.
-#
-# The generic-path comparison runs are skipped (--generic-max-exp=0): they
-# exist to measure the packed speedup, and their deliberately heavier
-# footprint would dominate the peak-RSS reading this script gates on.
 #
 #   scripts/check_scale.sh [BUILD_DIR]
 set -euo pipefail
@@ -56,7 +52,7 @@ trap 'rm -f "$METRICS"' EXIT
 
 echo "== bench_scale n=2^$EXP d=$D threads=$THREADS (budget ${BUDGET} B/node, RSS ceiling ${CEILING_MB} MB)"
 "$BIN" --min-exp="$EXP" --max-exp="$EXP" --d="$D" --seeds=1 \
-  --generic-max-exp=0 --assert-budget --budget-bytes="$BUDGET" \
+  --assert-budget --budget-bytes="$BUDGET" \
   --threads="$THREADS" --metrics_out="$METRICS" "${ALGO_FLAG[@]}"
 
 python3 - "$METRICS" "$CEILING_MB" <<'EOF'

@@ -12,7 +12,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build-tsan}"
 TESTS=(test_util_thread_pool test_local_engine test_engine_parallel
-  test_engine_packed test_util_simd test_graph_regular test_obs_engine test_core_roundelim
+  test_engine_packed test_graph_regular test_obs_engine test_core_roundelim
   test_property_fuzz test_store_resume test_bfs_kernel test_obs_resource
   test_serve test_delta_coloring_packed)
 

@@ -1,5 +1,5 @@
 // Engine ports of the paper's Δ-coloring algorithms (Theorems 10 and 11)
-// on the packed fast path: one phase-tagged 8-byte word per node, palette
+// on the engine: one phase-tagged 8-byte word per node, palette
 // Ψ_i represented implicitly through neighbors' taken colors, and the
 // reserved-palette Phase 2 running as a phase transition inside the same
 // word (DESIGN.md §14).
@@ -8,8 +8,8 @@
 // references, the same way `mis_ghaffari_local` relates to `mis_ghaffari`:
 // every decision is a function of the node's own word, its private RNG
 // stream, and neighbors' published words, so results are bit-identical
-// across threads × schedulers × SIMD backends and across the packed and
-// force_generic paths. They are NOT stream-identical to the `src/core/`
+// across threads × schedulers and to the naive reference engine the tests
+// run. They are NOT stream-identical to the `src/core/`
 // monoliths (those draw from different RNG epochs and use global
 // subroutines — induced subgraphs, retry-until-unique IDs — that no 8-byte
 // local machine can replicate); the differential tests check the semantic

@@ -12,9 +12,8 @@
 // it by ID, taking the smallest color unused by decided neighbors. Costs
 // O(longest descending-ID path) rounds: O(log n / log log n) w.h.p. under
 // random IDs on bounded-degree graphs, Θ(n) worst case under adversarial
-// IDs (hence the round cap). Its single-word bit-field state rides the
-// engine's packed fast path, which makes it the flagship DetLOCAL workload
-// of the scale benches.
+// IDs (hence the round cap). Its single-word bit-field state makes it the
+// flagship DetLOCAL workload of the scale benches.
 #pragma once
 
 #include <functional>
@@ -52,7 +51,7 @@ struct GreedyColorLocalResult {
 // ID-priority greedy coloring on the engine (DetLOCAL: input.ids required,
 // each < 2^48). `palette` 0 means Δ(G)+1; any value must be >= Δ(G)+1 and
 // <= 64 (the free-color pick is a single 64-bit mask). Deterministic given
-// the IDs; bit-identical across threads/schedulers/engine paths.
+// the IDs; bit-identical across threads and schedulers.
 GreedyColorLocalResult greedy_color_local(const LocalInput& input,
                                           int palette = 0,
                                           int max_rounds = 1 << 20,

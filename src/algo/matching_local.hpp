@@ -1,4 +1,4 @@
-// Engine ports of maximal matching on the packed fast path.
+// Engine ports of maximal matching with packed one-word node states.
 //
 // Unlike the array versions (matching_randomized / matching_deterministic),
 // which materialize the line graph or per-edge arrays, these run the

@@ -1,6 +1,5 @@
 #include "algo/mis_ghaffari.hpp"
-
-#include <cmath>
+#include "algo/mis_ghaffari_program.hpp"
 
 #include "algo/mis_deterministic.hpp"
 #include "graph/components.hpp"
@@ -9,135 +8,6 @@
 #include "util/math.hpp"
 
 namespace ckp {
-namespace {
-
-// Packed word for the engine port, one u64 per node:
-//
-//   [63:62] status (0 undecided, 1 in MIS, 2 retired)
-//   [61]    phase-2 flag, sticky through halt (residue measurement)
-//   [60]    mark-valid: the word carries this iteration's mark bit
-//   [59]    marked
-//   [57:50] phase-1 iteration counter (caps iterations at 255)
-//   [49:0]  phase-2 priority   } disjoint in time: desire is phase 1,
-//   [5:0]   desire exponent k  } priority is phase 2
-//
-// Desire levels are dyadic: desire = 2^-(k+1), k in [0, kGhMaxDesireExp],
-// so "halve" is k+1, "double capped at 1/2" is max(k-1, 0), and a mark is
-// drawn with exactly one RNG call by testing the top k+1 bits of a 64-bit
-// draw for zero. The effective degree is summed in 2^31 fixed point
-// (desire contributes 1 << (30-k); exponents past 30 contribute nothing,
-// which only biases toward doubling desires that are already < 2^-31).
-// Everything is integer arithmetic, so results are bit-identical across
-// paths, thread counts, and schedulers.
-constexpr int kGhStatusShift = 62;
-constexpr std::uint64_t kGhInMis = 1;
-constexpr std::uint64_t kGhRetired = 2;
-constexpr std::uint64_t kGhPhase2Bit = 1ULL << 61;
-constexpr std::uint64_t kGhValidBit = 1ULL << 60;
-constexpr std::uint64_t kGhMarkedBit = 1ULL << 59;
-constexpr int kGhIterShift = 50;
-constexpr std::uint64_t kGhIterMask = 0xFF;
-constexpr std::uint64_t kGhPrioMask = (1ULL << 50) - 1;
-constexpr std::uint64_t kGhDesireMask = 0x3F;
-constexpr std::uint64_t kGhMaxDesireExp = 40;
-constexpr std::uint64_t kGhEffThreshold = 1ULL << 32;  // 2.0 in 2^31 fixed pt
-
-struct GhaffariLocalAlgo {
-  static constexpr bool packed_state = true;
-
-  struct State {
-    std::uint64_t word = 0;
-  };
-
-  // Phase-1 iteration budget; read-only config (steps must not mutate
-  // shared members — engine contract).
-  int iterations = 0;
-
-  State init(const NodeEnv&) {
-    // k = 0 (desire 1/2), iteration 0, no valid mark: round 1 is a mark
-    // round.
-    return {0};
-  }
-
-  bool step(State& self, const NodeEnv& env,
-            std::span<const State* const> nbrs) {
-    const std::uint64_t w = self.word;
-    if ((w >> kGhStatusShift) != 0) return true;
-    if (w & kGhPhase2Bit) {
-      // Phase-2 round: retire next to a MIS member; join on strict local
-      // max priority; redraw on a tie (fixed priorities could deadlock).
-      const std::uint64_t my_prio = w & kGhPrioMask;
-      bool is_max = true;
-      bool tied = false;
-      for (const State* nb : nbrs) {
-        const std::uint64_t nw = nb->word;
-        if ((nw >> kGhStatusShift) == kGhInMis) {
-          self.word = (kGhRetired << kGhStatusShift) | kGhPhase2Bit;
-          return true;
-        }
-        if ((nw >> kGhStatusShift) != 0 || !(nw & kGhPhase2Bit)) continue;
-        const std::uint64_t p = nw & kGhPrioMask;
-        if (p > my_prio) is_max = false;
-        if (p == my_prio) tied = true;
-      }
-      if (tied) {
-        self.word = kGhPhase2Bit | (env.random()() & kGhPrioMask);
-        return false;
-      }
-      if (is_max) {
-        self.word = (kGhInMis << kGhStatusShift) | kGhPhase2Bit;
-        return true;
-      }
-      return false;
-    }
-    if ((w & kGhValidBit) == 0) {
-      // Mark round. React to joins of the previous resolve round first.
-      for (const State* nb : nbrs) {
-        if ((nb->word >> kGhStatusShift) == kGhInMis) {
-          self.word = kGhRetired << kGhStatusShift;
-          return true;
-        }
-      }
-      const std::uint64_t it = (w >> kGhIterShift) & kGhIterMask;
-      if (it >= static_cast<std::uint64_t>(iterations)) {
-        // Phase-1 budget exhausted: this node is residue. Draw a phase-2
-        // priority and hand off.
-        self.word = kGhPhase2Bit | (env.random()() & kGhPrioMask);
-        return false;
-      }
-      const std::uint64_t k = w & kGhDesireMask;
-      const std::uint64_t marked =
-          (env.random()() >> (63 - k)) == 0 ? kGhMarkedBit : 0;
-      self.word = (it << kGhIterShift) | kGhValidBit | marked | k;
-      return false;
-    }
-    // Resolve round: join when marked and alone; update desire from the
-    // effective degree of undecided neighbors (their marks and exponents
-    // were published in the mark round).
-    const std::uint64_t k = w & kGhDesireMask;
-    bool join = (w & kGhMarkedBit) != 0;
-    std::uint64_t eff = 0;
-    for (const State* nb : nbrs) {
-      const std::uint64_t nw = nb->word;
-      if ((nw >> kGhStatusShift) != 0 || !(nw & kGhValidBit)) continue;
-      if (nw & kGhMarkedBit) join = false;
-      const std::uint64_t nk = nw & kGhDesireMask;
-      if (nk <= 30) eff += 1ULL << (30 - nk);
-    }
-    if (join) {
-      self.word = kGhInMis << kGhStatusShift;
-      return true;
-    }
-    const std::uint64_t next_k = eff >= kGhEffThreshold
-                                     ? std::min(k + 1, kGhMaxDesireExp)
-                                     : (k > 0 ? k - 1 : 0);
-    const std::uint64_t it = ((w >> kGhIterShift) & kGhIterMask) + 1;
-    self.word = (it << kGhIterShift) | next_k;
-    return false;
-  }
-};
-
-}  // namespace
 
 GhaffariLocalResult mis_ghaffari_local(const LocalInput& input,
                                        int max_rounds,
@@ -152,7 +22,7 @@ GhaffariLocalResult mis_ghaffari_local(const LocalInput& input,
           : 2 * ceil_log2(static_cast<std::uint64_t>(delta) + 1) + 6;
   CKP_CHECK_MSG(iterations <= 255,
                 "phase-1 iteration budget exceeds the 8-bit counter");
-  GhaffariLocalAlgo algo{iterations};
+  detail::GhaffariLocalAlgo algo{iterations};
   const auto run = run_local(input, algo, max_rounds, nullptr, options);
 
   GhaffariLocalResult out;
@@ -167,13 +37,14 @@ GhaffariLocalResult mis_ghaffari_local(const LocalInput& input,
   std::vector<char> residue(static_cast<std::size_t>(n), 0);
   for (NodeId v = 0; v < n; ++v) {
     const std::uint64_t w = run.states[static_cast<std::size_t>(v)].word;
-    const std::uint64_t status = w >> kGhStatusShift;
+    const std::uint64_t status = w >> detail::kGhStatusShift;
     CKP_CHECK_MSG(!out.completed || status != 0,
                   "completed run left an undecided node");
-    out.in_set[static_cast<std::size_t>(v)] = status == kGhInMis ? 1 : 0;
+    out.in_set[static_cast<std::size_t>(v)] =
+        status == detail::kGhInMis ? 1 : 0;
     // The phase-2 flag is sticky through halts, so the shattering residue
     // is recoverable from final states alone.
-    residue[static_cast<std::size_t>(v)] = (w & kGhPhase2Bit) ? 1 : 0;
+    residue[static_cast<std::size_t>(v)] = (w & detail::kGhPhase2Bit) ? 1 : 0;
     if (residue[static_cast<std::size_t>(v)]) ++out.residue_nodes;
   }
   out.largest_residue_component =

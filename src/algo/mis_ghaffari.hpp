@@ -39,7 +39,7 @@ GhaffariMisResult mis_ghaffari(const Graph& g, std::uint64_t seed,
                                RoundLedger& ledger,
                                const GhaffariMisParams& params = {});
 
-// Engine port of the same algorithm on the packed fast path (one 8-byte
+// Engine port of the same algorithm with a packed state (one 8-byte
 // word per node; DESIGN.md §11). Phase 1 runs desire-level marking for
 // 2·iterations rounds; the phase-2 residue finishes with random 50-bit
 // priorities (greedy local-max with tie redraws) instead of the array

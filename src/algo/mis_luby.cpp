@@ -1,81 +1,13 @@
 #include "algo/mis_luby.hpp"
+#include "algo/mis_luby_program.hpp"
 
-#include <span>
-
-#include "local/engine.hpp"
 #include "util/check.hpp"
 
 namespace ckp {
-namespace {
-
-// Single 64-bit word per node: [60:0] the current draw, [61] whether the
-// draw belongs to the current iteration, [63:62] status (0 = undecided,
-// 1 = in MIS, 2 = retired). One word halves the state traffic of the
-// 16-byte layout — per round the engine copies and gathers these words, so
-// width is the dominant cost at 10^7+ nodes. Draws compare at 61 bits; a
-// tie (probability 2^-61 per adjacent pair per iteration) keeps both nodes
-// out of this iteration, which is safe.
-constexpr std::uint64_t kDrawMask = (1ULL << 61) - 1;
-constexpr std::uint64_t kValidBit = 1ULL << 61;
-constexpr int kStatusShift = 62;
-constexpr std::uint64_t kInMis = 1;
-constexpr std::uint64_t kRetired = 2;
-
-struct LubyAlgo {
-  // Trivially-copyable POD state: selects the engine's packed fast path
-  // (flat state buffers, no cached environments or neighbor-pointer tables;
-  // see local/engine.hpp).
-  static constexpr bool packed_state = true;
-
-  struct State {
-    std::uint64_t word = 0;
-  };
-
-  State init(const NodeEnv& env) {
-    // First exchange happens in step(); draw now so round 1 can compare.
-    return {kValidBit | (env.random()() & kDrawMask)};
-  }
-
-  bool step(State& self, const NodeEnv& env,
-            std::span<const State* const> nbrs) {
-    const std::uint64_t w = self.word;
-    if ((w >> kStatusShift) != 0) return true;
-    if (w & kValidBit) {
-      // Decision sub-round: compare with neighbor draws published last
-      // round. Bits [63:61] == 001 is exactly "undecided with a live draw".
-      const std::uint64_t my_draw = w & kDrawMask;
-      bool local_min = true;
-      for (const State* nb : nbrs) {
-        const std::uint64_t nw = nb->word;
-        if ((nw >> 61) == 1 && (nw & kDrawMask) <= my_draw) {
-          local_min = false;
-          break;
-        }
-      }
-      if (local_min) {
-        self.word = kInMis << kStatusShift;
-        return true;
-      }
-      self.word = my_draw;  // publish "no draw" so neighbors resync
-      return false;
-    }
-    // Reaction sub-round: retire next to a new MIS member, else redraw.
-    for (const State* nb : nbrs) {
-      if ((nb->word >> kStatusShift) == kInMis) {
-        self.word = kRetired << kStatusShift;
-        return true;
-      }
-    }
-    self.word = kValidBit | (env.random()() & kDrawMask);
-    return false;
-  }
-};
-
-}  // namespace
 
 MisResult mis_luby(const LocalInput& input, int max_rounds,
                    const EngineOptions& options) {
-  LubyAlgo algo;
+  detail::LubyAlgo algo;
   const auto run = run_local(input, algo, max_rounds, nullptr, options);
   MisResult out;
   out.rounds = run.rounds;
@@ -83,10 +15,10 @@ MisResult mis_luby(const LocalInput& input, int max_rounds,
   out.engine_bytes = run.engine_bytes;
   out.in_set.resize(run.states.size());
   for (std::size_t i = 0; i < run.states.size(); ++i) {
-    const std::uint64_t status = run.states[i].word >> kStatusShift;
+    const std::uint64_t status = run.states[i].word >> detail::kStatusShift;
     CKP_CHECK_MSG(!out.completed || status != 0,
                   "completed run left an undecided node");
-    out.in_set[i] = status == kInMis ? 1 : 0;
+    out.in_set[i] = status == detail::kInMis ? 1 : 0;
   }
   return out;
 }

@@ -25,8 +25,7 @@ struct MisResult {
 
 // Runs Luby's algorithm under `input` (RandLOCAL: ids may be empty).
 // `max_rounds` caps engine rounds (2 per Luby iteration). `options` selects
-// threads/scheduler/engine path; results are bit-identical across all of
-// them (the state is packed, so the default is the engine's fast path).
+// threads/scheduler; results are bit-identical across all of them.
 MisResult mis_luby(const LocalInput& input, int max_rounds = 1 << 20,
                    const EngineOptions& options = {});
 

@@ -1,8 +1,7 @@
 #include "algo/plus_one_coloring.hpp"
+#include "algo/plus_one_coloring_program.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <span>
 
 #include "algo/color_reduction.hpp"
 #include "algo/greedy_color.hpp"
@@ -134,77 +133,6 @@ PlusOneResult plus_one_coloring_deterministic(
   return out;
 }
 
-namespace {
-
-// Packed word for the engine port, one u64 per node:
-//
-//   [5:0] candidate color (while trying) / final color (once decided)
-//   [6]   decided (terminal; the node halts the round it sets this)
-//   [7]   trying: the word carries this iteration's candidate
-//
-// Try round: an undecided node removes decided neighbors' colors from the
-// palette and draws a uniform candidate from what is left (never empty with
-// palette >= Δ+1: at most deg <= Δ colors are taken). Resolve round: the
-// candidate sticks unless a trying neighbor drew the same one (both sides
-// retry — the conflict test is symmetric, preserving lockstep). Exactly one
-// RNG call per try round, so results are bit-identical across engine
-// paths, thread counts, and schedulers.
-constexpr std::uint64_t kPoColorMask = 0x3F;
-constexpr std::uint64_t kPoDecidedBit = 1ULL << 6;
-constexpr std::uint64_t kPoTryingBit = 1ULL << 7;
-
-struct PlusOneLocalAlgo {
-  static constexpr bool packed_state = true;
-
-  struct State {
-    std::uint64_t word = 0;
-  };
-
-  int palette = 0;  // read-only config; in [1, 64]
-
-  State init(const NodeEnv&) { return {0}; }
-
-  bool step(State& self, const NodeEnv& env,
-            std::span<const State* const> nbrs) {
-    const std::uint64_t w = self.word;
-    if (w & kPoDecidedBit) return true;
-    if ((w & kPoTryingBit) == 0) {
-      // Try round.
-      std::uint64_t used = 0;
-      for (const State* nb : nbrs) {
-        const std::uint64_t nw = nb->word;
-        if (nw & kPoDecidedBit) used |= 1ULL << (nw & kPoColorMask);
-      }
-      const std::uint64_t avail =
-          (palette >= 64 ? ~0ULL : (1ULL << palette) - 1) & ~used;
-      CKP_DCHECK(avail != 0);
-      const int pick = static_cast<int>(env.random().next_below(
-          static_cast<std::uint64_t>(std::popcount(avail))));
-      // Select the pick-th set bit of the availability mask.
-      std::uint64_t mask = avail;
-      for (int i = 0; i < pick; ++i) mask &= mask - 1;
-      const auto color =
-          static_cast<std::uint64_t>(std::countr_zero(mask));
-      self.word = kPoTryingBit | color;
-      return false;
-    }
-    // Resolve round.
-    const std::uint64_t my_color = w & kPoColorMask;
-    for (const State* nb : nbrs) {
-      const std::uint64_t nw = nb->word;
-      if ((nw & kPoTryingBit) && !(nw & kPoDecidedBit) &&
-          (nw & kPoColorMask) == my_color) {
-        self.word = 0;
-        return false;
-      }
-    }
-    self.word = kPoDecidedBit | my_color;
-    return true;
-  }
-};
-
-}  // namespace
-
 PlusOneLocalResult plus_one_local(const LocalInput& input, int palette,
                                   int max_rounds,
                                   const EngineOptions& options) {
@@ -216,7 +144,7 @@ PlusOneLocalResult plus_one_local(const LocalInput& input, int palette,
                 "trial coloring needs palette >= Δ+1 so a color is always "
                 "available");
   CKP_CHECK_MSG(palette <= 64, "packed palette mask caps colors at 64");
-  PlusOneLocalAlgo algo{palette};
+  detail::PlusOneLocalAlgo algo{palette};
   const auto run = run_local(input, algo, max_rounds, nullptr, options);
 
   PlusOneLocalResult out;
@@ -226,10 +154,10 @@ PlusOneLocalResult plus_one_local(const LocalInput& input, int palette,
   out.colors.resize(run.states.size(), -1);
   for (std::size_t i = 0; i < run.states.size(); ++i) {
     const std::uint64_t w = run.states[i].word;
-    CKP_CHECK_MSG(!out.completed || (w & kPoDecidedBit),
+    CKP_CHECK_MSG(!out.completed || (w & detail::kPoDecidedBit),
                   "completed run left an uncolored node");
-    if (w & kPoDecidedBit) {
-      out.colors[i] = static_cast<int>(w & kPoColorMask);
+    if (w & detail::kPoDecidedBit) {
+      out.colors[i] = static_cast<int>(w & detail::kPoColorMask);
     }
   }
   if (out.completed) CKP_DCHECK(verify_coloring(g, out.colors, palette).ok);

@@ -53,7 +53,7 @@ PlusOneResult plus_one_coloring_deterministic(
     const Graph& g, const std::vector<std::uint64_t>& ids, int delta,
     RoundLedger& ledger);
 
-// Engine port of the randomized trial coloring on the packed fast path (one
+// Engine port of the randomized trial coloring with a packed state (one
 // 8-byte word per node; DESIGN.md §11). Runs the randomized phase to
 // completion — two engine rounds per trial iteration. RandLOCAL only;
 // `palette` (default Δ+1) is capped at 64 so the availability mask is one

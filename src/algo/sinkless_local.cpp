@@ -1,151 +1,12 @@
 #include "algo/sinkless_local.hpp"
+#include "algo/sinkless_local_program.hpp"
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "util/check.hpp"
 
 namespace ckp {
-namespace {
-
-// Single 64-bit word per node:
-//   [31:0]  payload — the claim's 32-bit coin while unsatisfied, the winning
-//           round ("generation") while satisfied;
-//   [39:32] the claimed / owned edge color;
-//   [59:40] the node's own round counter (all nodes start at 0 and step in
-//           lockstep, so this equals the engine round — it is how a node
-//           stamps generations without the engine exposing a round number);
-//   [60]    satisfied.
-constexpr std::uint64_t kSoPayloadMask = 0xFFFFFFFFULL;
-constexpr int kSoColorShift = 32;
-constexpr std::uint64_t kSoColorMask = 0xFF;
-constexpr int kSoRoundShift = 40;
-constexpr std::uint64_t kSoRoundMask = (1ULL << 20) - 1;
-constexpr std::uint64_t kSoSatBit = 1ULL << 60;
-
-std::uint64_t color_of(std::uint64_t w) {
-  return (w >> kSoColorShift) & kSoColorMask;
-}
-
-struct SinklessAlgo {
-  static constexpr bool packed_state = true;
-
-  struct State {
-    std::uint64_t word = 0;
-  };
-
-  State init(const NodeEnv& env) {
-    // One draw: high half picks the initial claim port uniformly, low half
-    // is the claim's coin.
-    const std::uint64_t r = env.random()();
-    const auto port = static_cast<std::size_t>(
-        (r >> 32) % static_cast<std::uint64_t>(env.degree));
-    const auto color =
-        static_cast<std::uint64_t>(env.incident_edge_labels[port]);
-    return {(color << kSoColorShift) | (r & kSoPayloadMask)};
-  }
-
-  bool step(State& self, const NodeEnv& env,
-            std::span<const State* const> nbrs) {
-    const std::uint64_t w = self.word;
-    const std::uint64_t round = ((w >> kSoRoundShift) & kSoRoundMask) + 1;
-    const std::span<const int> labels = env.incident_edge_labels;
-    const std::uint64_t my_color = color_of(w);
-
-    // The port carrying my claimed/owned color (unique: the coloring is
-    // proper).
-    std::size_t my_port = 0;
-    while (static_cast<std::uint64_t>(labels[my_port]) != my_color) ++my_port;
-    const std::uint64_t across = nbrs[my_port]->word;
-
-    if (w & kSoSatBit) {
-      // Theft check: a same-color satisfied neighbor across my out-edge with
-      // a strictly newer generation stole it (strictness is sound: an edge
-      // only becomes stealable after its owner was satisfied a full round,
-      // so the thief's round exceeds the owner's generation).
-      const bool stolen = (across & kSoSatBit) != 0 &&
-                          color_of(across) == my_color &&
-                          (across & kSoPayloadMask) > (w & kSoPayloadMask);
-      if (!stolen) {
-        std::uint64_t all_sat = kSoSatBit;
-        for (const State* nb : nbrs) all_sat &= nb->word;
-        if (all_sat != 0) return true;  // nobody left who could steal from me
-        self.word =
-            (w & ~(kSoRoundMask << kSoRoundShift)) | (round << kSoRoundShift);
-        return false;
-      }
-      return reclaim(self, env, nbrs, round);
-    }
-
-    // Resolve my pending claim against the neighbor across it. I lose to an
-    // established owner, or to a contesting claim with coin >= mine (ties
-    // lose both ways, so an edge never gains two same-round winners).
-    bool lose;
-    if (across & kSoSatBit) {
-      lose = color_of(across) == my_color;
-    } else {
-      lose = color_of(across) == my_color &&
-             (across & kSoPayloadMask) >= (w & kSoPayloadMask);
-    }
-    if (!lose) {
-      self.word = kSoSatBit | (round << kSoRoundShift) |
-                  (my_color << kSoColorShift) | round;  // generation = round
-      return false;  // stay awake to watch for theft
-    }
-    return reclaim(self, env, nbrs, round);
-  }
-
- private:
-  // A losing (or just-victimized) node draws one coin and claims a fresh
-  // edge among the non-reserved ports; with every port reserved it is
-  // deadlocked — all neighbors point at it — and steals a uniformly random
-  // one instead.
-  static bool reclaim(State& self, const NodeEnv& env,
-                      std::span<const State* const> nbrs,
-                      std::uint64_t round) {
-    const std::span<const int> labels = env.incident_edge_labels;
-    const std::uint64_t r = env.random()();
-    const auto deg = static_cast<std::size_t>(env.degree);
-    std::size_t claimable = 0;
-    for (std::size_t k = 0; k < deg; ++k) {
-      const std::uint64_t nb = nbrs[k]->word;
-      const bool reserved =
-          (nb & kSoSatBit) != 0 &&
-          color_of(nb) == static_cast<std::uint64_t>(labels[k]);
-      claimable += static_cast<std::size_t>(!reserved);
-    }
-    if (claimable == 0) {
-      const auto steal = static_cast<std::size_t>(
-          (r >> 32) % static_cast<std::uint64_t>(deg));
-      const auto color = static_cast<std::uint64_t>(labels[steal]);
-      self.word = kSoSatBit | (round << kSoRoundShift) |
-                  (color << kSoColorShift) | round;
-      return false;
-    }
-    auto pick = static_cast<std::size_t>(
-        (r >> 32) % static_cast<std::uint64_t>(claimable));
-    std::size_t port = 0;
-    for (std::size_t k = 0; k < deg; ++k) {
-      const std::uint64_t nb = nbrs[k]->word;
-      const bool reserved =
-          (nb & kSoSatBit) != 0 &&
-          color_of(nb) == static_cast<std::uint64_t>(labels[k]);
-      if (reserved) continue;
-      if (pick == 0) {
-        port = k;
-        break;
-      }
-      --pick;
-    }
-    const auto color = static_cast<std::uint64_t>(labels[port]);
-    self.word = (round << kSoRoundShift) | (color << kSoColorShift) |
-                (r & kSoPayloadMask);
-    return false;
-  }
-};
-
-}  // namespace
 
 SinklessLocalResult sinkless_local(const LocalInput& input, int max_rounds,
                                    const EngineOptions& options) {
@@ -176,7 +37,7 @@ SinklessLocalResult sinkless_local(const LocalInput& input, int max_rounds,
     }
   }
 
-  SinklessAlgo algo;
+  detail::SinklessAlgo algo;
   const auto run = run_local(input, algo, max_rounds, nullptr, options);
 
   SinklessLocalResult out;
@@ -194,9 +55,9 @@ SinklessLocalResult sinkless_local(const LocalInput& input, int max_rounds,
   std::vector<NodeId> owner(static_cast<std::size_t>(m), kInvalidNode);
   for (NodeId v = 0; v < n; ++v) {
     const std::uint64_t w = run.states[static_cast<std::size_t>(v)].word;
-    if ((w & kSoSatBit) == 0) continue;
-    const std::uint64_t c = color_of(w);
-    const auto gen = static_cast<std::uint32_t>(w & kSoPayloadMask);
+    if ((w & detail::kSoSatBit) == 0) continue;
+    const std::uint64_t c = detail::color_of(w);
+    const auto gen = static_cast<std::uint32_t>(w & detail::kSoPayloadMask);
     for (EdgeId e : g.incident_edges(v)) {
       if (static_cast<std::uint64_t>(
               input.edge_labels[static_cast<std::size_t>(e)]) != c) {

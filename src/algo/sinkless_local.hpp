@@ -2,11 +2,11 @@
 //
 // The phase-composed claim+repair solver in core/sinkless.cpp charges rounds
 // through a ledger; this is the engine-native counterpart, written as a
-// per-node program whose single-word bit-field state rides the engine's
-// packed fast path. It targets the paper's setting: Δ-regular (more
-// generally min-degree >= 2) graphs that come with a proper Δ-edge coloring
-// (input.edge_labels), e.g. the union-of-matchings bipartite instances of
-// graph/regular.cpp where the matching index is the color.
+// per-node program with a single-word bit-field state. It targets the
+// paper's setting: Δ-regular (more generally min-degree >= 2) graphs that
+// come with a proper Δ-edge coloring (input.edge_labels), e.g. the
+// union-of-matchings bipartite instances of graph/regular.cpp where the
+// matching index is the color.
 //
 // Protocol (one engine round per iteration):
 //
@@ -39,8 +39,7 @@
 //
 // Every claiming node consumes exactly one 64-bit draw per round (init
 // included), a deterministic function of its own round history — which is
-// what makes results bit-identical across threads, schedulers, and the
-// packed/generic engine paths.
+// what makes results bit-identical across threads and schedulers.
 #pragma once
 
 #include <cstdint>

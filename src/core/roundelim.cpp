@@ -738,7 +738,8 @@ BipartiteProblem round_eliminate_packed(const BipartiteProblem& p,
     out.label_names.push_back(subset_name(p, mask));
   }
   // The new id of a mask is its rank in the sorted `used` vector — no map.
-  const auto rank = [&used](std::uint64_t mask) {
+  // (`used` is thread_local, so the lambda names it without a capture.)
+  const auto rank = [](std::uint64_t mask) {
     return static_cast<int>(
         std::lower_bound(used.begin(), used.end(), mask) - used.begin());
   };

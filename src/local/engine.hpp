@@ -12,7 +12,7 @@
 // An algorithm models one node's program:
 //
 //   struct MyAlgo {
-//     struct State { ... };                   // regular, copyable
+//     struct State { ... };                   // trivially copyable
 //     State init(const NodeEnv& env);         // before round 1
 //     // One synchronous round. Return true to halt. `nbrs[i]` is the
 //     // previous-round state of the i-th neighbor (port order = sorted
@@ -47,31 +47,17 @@
 // any chunk computes, and results stay bit-identical across schedulers and
 // thread counts (DESIGN.md §11).
 //
-// Packed fast path. Algorithms that declare `static constexpr bool
-// packed_state = true` (their State must be trivially copyable; bit-field
-// PODs by convention) run on a memory-lean variant of the same loop: no
-// cached per-node NodeEnv array, no 2m-entry neighbor-pointer tables — the
-// environment is rebuilt in-register per step and neighbor views are
-// assembled into a per-chunk scratch row — and per-round bookkeeping
-// (active-list compaction, halt recording/merge) is branch-free. The
-// steady-state round loop of an unobserved packed run is certified
-// allocation-free on the dispatching thread with an AssertNoAlloc guard, so
-// a packed algorithm whose step allocates fails loudly. Semantics are
-// identical to the generic path (same init/step contract, same RNG streams,
-// same halt order); EngineOptions::force_generic runs a packed algorithm on
-// the generic path for differential tests.
-//
-// SIMD kernels. The packed path's three steady-state loops that touch no
-// algorithm code — scratch-row assembly, halt-slab compaction, active-list
-// compaction — run through util/simd.hpp, whose backend (AVX2/NEON/scalar)
-// is fixed at configure time. EngineOptions::simd toggles vector vs scalar
-// kernels at run time; both produce bit-identical results by the kernel
-// contract, which tests/test_util_simd.cpp fuzzes directly and the packed
-// differential tests check end to end.
+// State contract. State must be trivially copyable (by convention a
+// bit-field POD): the engine double-buffers states in flat arrays and
+// static_asserts the contract. The steady-state round loop of an unobserved
+// run is certified allocation-free on the dispatching thread, so an
+// algorithm whose step allocates fails loudly (see detail::run_engine).
+// tests/reference_engine.hpp holds a deliberately naive sequential engine
+// the loop is differentially tested against.
 //
 // RNG opt-out. A RandLOCAL algorithm that derives its randomness statelessly
-// (hash draws from the seed, e.g. the packed randomized matching) declares
-// `static constexpr bool needs_rng = false`; both engine paths then skip the
+// (hash draws from the seed, e.g. the randomized matching) declares
+// `static constexpr bool needs_rng = false`; the engine then skips the
 // 32 B/node private-stream allocation and env.random() fails loudly if the
 // algorithm lied.
 #pragma once
@@ -91,7 +77,6 @@
 #include "obs/resource.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -130,19 +115,11 @@ enum class EngineSchedule {
 struct EngineOptions {
   int threads = 0;  // 0 = default_engine_threads(); clamped to [1, n]
   EngineSchedule schedule = EngineSchedule::kStatic;
-  // Run the generic path even for packed algorithms (packed-vs-generic
-  // differential tests and benches; results are bit-identical either way).
-  bool force_generic = false;
-  // Use the configure-time vector backend for the packed path's steady-state
-  // kernels. No-op when the build has no vector backend or on the generic
-  // path; false forces the scalar kernels (differential tests and scalar
-  // baselines in bench_scale). Results are bit-identical either way.
-  bool simd = true;
   // Optional execution budget (deadline / step limit / cancel flag; see
-  // local/budget.hpp), checked once per round at the round barrier on both
-  // engine paths. Not owned; must outlive the run. nullptr (the default)
-  // compiles the checks away behind one branch, and a budget that never
-  // triggers leaves results bit-identical to an un-budgeted run.
+  // local/budget.hpp), checked once per round at the round barrier. Not
+  // owned; must outlive the run. nullptr (the default) compiles the checks
+  // away behind one branch, and a budget that never triggers leaves results
+  // bit-identical to an un-budgeted run.
   RunBudget* budget = nullptr;
 };
 
@@ -156,7 +133,7 @@ struct EngineResult {
   // last completed round — a consistent partial result, never a torn one.
   bool interrupted = false;
   // Heap bytes the engine allocated for this run (state buffers, RNG
-  // streams, active/halt bookkeeping, cached environments...). Exact — summed
+  // streams, edge labels, active/halt bookkeeping). Exact — summed
   // from container capacities, not sampled from RSS — so benches can report
   // engine-side bytes/node deterministically.
   std::uint64_t engine_bytes = 0;
@@ -174,17 +151,6 @@ struct NullEngineObserver {};
 // bound the tail latency of a skewed round by 1/kStealChunksPerThread of the
 // worst thread's work at the cost of proportionally more dispatch overhead.
 inline constexpr int kStealChunksPerThread = 8;
-
-// True for algorithms that opt into the packed fast path by declaring
-// `static constexpr bool packed_state = true`.
-template <typename A, typename = void>
-struct DeclaresPackedState : std::false_type {};
-template <typename A>
-struct DeclaresPackedState<A, std::void_t<decltype(A::packed_state)>>
-    : std::bool_constant<static_cast<bool>(A::packed_state)> {};
-
-template <typename A>
-inline constexpr bool is_packed_algorithm_v = DeclaresPackedState<A>::value;
 
 // False for algorithms that declare `static constexpr bool needs_rng =
 // false` (stateless hash draws instead of private streams); the engine then
@@ -215,11 +181,48 @@ std::uint64_t vec_bytes(const std::vector<T>& v) {
   return static_cast<std::uint64_t>(v.capacity()) * sizeof(T);
 }
 
+// Flag-driven left-pack: copies src[i] (i in [0, count)) with
+// (flags[i] != 0) == want into dst, preserving order, and returns how many
+// were written. Both engine compactions are this one function: want=true
+// builds a chunk's halt slab from the done flags, want=false compacts the
+// survivors out of the active list. dst may alias src (in-place left-pack):
+// the write index never passes the read index.
+inline std::int64_t compact_by_flag(NodeId* dst, const NodeId* src,
+                                    const std::uint8_t* flags,
+                                    std::int64_t count, bool want) {
+  std::int64_t out = 0;
+  for (std::int64_t i = 0; i < count; ++i) {
+    dst[out] = src[i];
+    out += static_cast<std::int64_t>((flags[i] != 0) == want);
+  }
+  return out;
+}
+
+// The round loop (see header comment). Storage and bookkeeping:
+//
+//   * no cached NodeEnv array — the environment is a handful of loads
+//     rebuilt per step;
+//   * no neighbor-pointer tables — neighbor views are assembled into a
+//     per-chunk scratch row of at most Δ pointers, which stays L1-resident;
+//   * the step loop records one done byte per active-list position; halts
+//     are then left-packed per chunk into a slab region (chunk c owns
+//     slab[chunk_begin..), so regions are disjoint and the chunk-order merge
+//     reads them back in ascending node order) and the active list is
+//     left-packed in place at the barrier, both by compact_by_flag;
+//   * a halted node's stale entry in the other buffer is refreshed at merge
+//     time, so both buffers hold its final state from then on.
+//
+// When unobserved, the whole round loop runs under AssertNoAlloc on the
+// dispatching thread: the engine's own steady state allocates nothing, and an
+// algorithm whose step allocates fails loudly (worker-thread allocations are
+// certified separately by the threads=1 tests, where the dispatching thread
+// runs every chunk).
 template <typename A, typename Obs>
-EngineResult<A> run_local_impl(const LocalInput& input, A& algo,
-                               int max_rounds, Obs* obs,
-                               const EngineOptions& opts) {
+EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
+                           Obs* obs, const EngineOptions& opts) {
   using State = typename A::State;
+  static_assert(std::is_trivially_copyable_v<State>,
+                "engine algorithms need a trivially copyable State");
   constexpr bool kObserved = !std::is_same_v<Obs, NullEngineObserver>;
   input.validate();
   const Graph& g = *input.graph;
@@ -248,275 +251,6 @@ EngineResult<A> run_local_impl(const LocalInput& input, A& algo,
       rngs.push_back(node_rng(input.seed, static_cast<std::uint64_t>(v)));
     }
   }
-
-  // Per-node incident edge labels in port order.
-  std::vector<std::vector<int>> edge_labels;
-  if (!input.edge_labels.empty()) {
-    edge_labels.resize(static_cast<std::size_t>(n));
-    for (NodeId v = 0; v < n; ++v) {
-      for (EdgeId e : g.incident_edges(v)) {
-        edge_labels[static_cast<std::size_t>(v)].push_back(
-            input.edge_labels[static_cast<std::size_t>(e)]);
-      }
-    }
-  }
-
-  // Static per-node environments, built once per run instead of once per
-  // node per round: everything in NodeEnv is round-invariant.
-  std::vector<NodeEnv> envs;
-  envs.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    NodeEnv env;
-    env.index = v;
-    env.degree = g.degree(v);
-    env.declared_n = input.effective_n();
-    env.declared_delta = input.effective_delta();
-    env.id = input.has_ids() ? input.id_of(v) : kNoId;
-    env.rng = randomized ? &rngs[static_cast<std::size_t>(v)] : nullptr;
-    if (!edge_labels.empty()) {
-      env.incident_edge_labels = edge_labels[static_cast<std::size_t>(v)];
-    }
-    envs.push_back(env);
-  }
-
-  [[maybe_unused]] Timer run_timer;
-  EngineResult<A> result;
-
-  // Double-buffered states. Neither buffer reallocates after this point, so
-  // the CSR neighbor-pointer tables below stay valid for the whole run.
-  std::vector<State> buf_a;
-  buf_a.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    buf_a.push_back(algo.init(envs[static_cast<std::size_t>(v)]));
-  }
-  std::vector<State> buf_b(buf_a);
-
-  // CSR tables of neighbor State pointers, one per buffer, built once per
-  // run instead of rebuilding a pointer vector per node per round. Entry k
-  // corresponds to adjacency entry k of the graph; the table matching the
-  // current previous-round buffer is selected each round by the swap below.
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    offsets[static_cast<std::size_t>(v) + 1] =
-        offsets[static_cast<std::size_t>(v)] +
-        static_cast<std::size_t>(g.degree(v));
-  }
-  std::vector<const State*> nbrs_a(offsets[static_cast<std::size_t>(n)]);
-  std::vector<const State*> nbrs_b(nbrs_a.size());
-  {
-    std::size_t k = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      for (NodeId u : g.neighbors(v)) {
-        nbrs_a[k] = &buf_a[static_cast<std::size_t>(u)];
-        nbrs_b[k] = &buf_b[static_cast<std::size_t>(u)];
-        ++k;
-      }
-    }
-  }
-
-  std::vector<State>* cur = &buf_a;  // latest completed round
-  std::vector<State>* nxt = &buf_b;  // scratch being written this round
-  const State* const* cur_nbrs = nbrs_a.data();  // points into *cur
-  const State* const* nxt_nbrs = nbrs_b.data();
-
-  std::vector<char> halted(static_cast<std::size_t>(n), 0);
-  // Compacted list of non-halted nodes, ascending. Late rounds (post-
-  // shattering, when most nodes have halted) iterate only survivors instead
-  // of scanning all n entries.
-  std::vector<NodeId> active(static_cast<std::size_t>(n));
-  std::iota(active.begin(), active.end(), NodeId{0});
-  // Nodes that halted last round: their entry in the scratch buffer is one
-  // round stale and needs a single refresh, after which both buffers hold
-  // their final state forever.
-  std::vector<NodeId> fresh_halts;
-  std::vector<std::vector<NodeId>> chunk_halts(
-      static_cast<std::size_t>(max_chunks));
-  [[maybe_unused]] std::vector<double> chunk_seconds;
-
-  ThreadPool* pool = threads > 1 ? &shared_pool(threads) : nullptr;
-
-  // An already-tripped budget (pre-set cancel flag, expired deadline) stops
-  // before round 1: zero rounds executed, init states returned.
-  if (opts.budget != nullptr &&
-      opts.budget->charge(0) != BudgetStop::kNone) {
-    result.interrupted = true;
-  }
-
-  NodeId num_halted = 0;
-  while (!result.interrupted && num_halted < n && result.rounds < max_rounds) {
-    [[maybe_unused]] Timer round_timer;
-    [[maybe_unused]] std::uint64_t copies_this_round = 0;
-    const auto active_count = static_cast<std::int64_t>(active.size());
-    const int chunks =
-        pool == nullptr ? 1 : round_chunk_count(active_count, threads,
-                                                stealing);
-    if constexpr (kObserved) {
-      obs->on_round_begin(result.rounds + 1);
-      chunk_seconds.assign(static_cast<std::size_t>(chunks), 0.0);
-      copies_this_round =
-          static_cast<std::uint64_t>(active_count) + fresh_halts.size();
-    }
-    for (NodeId v : fresh_halts) {
-      (*nxt)[static_cast<std::size_t>(v)] = (*cur)[static_cast<std::size_t>(v)];
-    }
-    fresh_halts.clear();
-
-    // The parallel region. Each chunk touches a contiguous slice of the
-    // active list: reads *cur (frozen this round), writes next-states and
-    // RNG streams of its own nodes only, and records halts in its private
-    // list. Merging below is the only cross-chunk communication.
-    auto step_chunk = [&](std::int64_t chunk_begin, std::int64_t chunk_end,
-                          int chunk) {
-      [[maybe_unused]] Timer chunk_timer;
-      std::vector<NodeId>& halts = chunk_halts[static_cast<std::size_t>(chunk)];
-      for (std::int64_t i = chunk_begin; i < chunk_end; ++i) {
-        const NodeId v = active[static_cast<std::size_t>(i)];
-        State& mine = (*nxt)[static_cast<std::size_t>(v)];
-        mine = (*cur)[static_cast<std::size_t>(v)];
-        const bool done = algo.step(
-            mine, envs[static_cast<std::size_t>(v)],
-            std::span<const State* const>(
-                cur_nbrs + offsets[static_cast<std::size_t>(v)],
-                cur_nbrs + offsets[static_cast<std::size_t>(v) + 1]));
-        if (done) halts.push_back(v);
-      }
-      if constexpr (kObserved) {
-        chunk_seconds[static_cast<std::size_t>(chunk)] = chunk_timer.seconds();
-      }
-    };
-    if (pool == nullptr) {
-      step_chunk(0, active_count, 0);
-    } else if (stealing) {
-      pool->parallel_for_dynamic(0, active_count, threads, chunks, step_chunk);
-    } else {
-      pool->parallel_for(0, active_count, chunks, step_chunk);
-    }
-
-    // Round barrier: merge per-chunk halt lists in chunk order, which is
-    // ascending node order (chunks are contiguous slices of the sorted
-    // active list) — the same order the sequential engine reports.
-    for (int c = 0; c < chunks; ++c) {
-      std::vector<NodeId>& halts = chunk_halts[static_cast<std::size_t>(c)];
-      for (NodeId v : halts) {
-        halted[static_cast<std::size_t>(v)] = 1;
-        ++num_halted;
-        fresh_halts.push_back(v);
-        if constexpr (kObserved) obs->on_node_halt(v, result.rounds + 1);
-      }
-      halts.clear();
-    }
-    if (!fresh_halts.empty()) {
-      active.erase(std::remove_if(active.begin(), active.end(),
-                                  [&](NodeId v) {
-                                    return halted[static_cast<std::size_t>(v)] !=
-                                           0;
-                                  }),
-                   active.end());
-    }
-    std::swap(cur, nxt);
-    std::swap(cur_nbrs, nxt_nbrs);
-    ++result.rounds;
-    if constexpr (kObserved) {
-      RoundStats stats;
-      stats.round = result.rounds;
-      stats.max_rounds = max_rounds;
-      stats.n = n;
-      stats.active_nodes = static_cast<NodeId>(active_count);
-      stats.halted_total = num_halted;
-      stats.state_copies = copies_this_round;
-      stats.seconds = round_timer.seconds();
-      stats.threads = threads;
-      stats.chunk_seconds = chunk_seconds;
-      obs->on_round_end(stats);
-    }
-    // Budget check at the round barrier: the chunk merge above completed,
-    // *cur is a consistent round, so stopping here never tears state.
-    if (opts.budget != nullptr &&
-        opts.budget->charge(static_cast<std::uint64_t>(active_count)) !=
-            BudgetStop::kNone) {
-      result.interrupted = true;
-      break;
-    }
-  }
-  result.engine_bytes = vec_bytes(buf_a) + vec_bytes(buf_b) +
-                        vec_bytes(rngs) + vec_bytes(envs) +
-                        vec_bytes(offsets) + vec_bytes(nbrs_a) +
-                        vec_bytes(nbrs_b) + vec_bytes(halted) +
-                        vec_bytes(active) + vec_bytes(fresh_halts) +
-                        vec_bytes(chunk_halts);
-  for (const std::vector<int>& labels : edge_labels) {
-    result.engine_bytes += vec_bytes(labels);
-  }
-  for (const std::vector<NodeId>& halts : chunk_halts) {
-    result.engine_bytes += vec_bytes(halts);
-  }
-  result.states = std::move(*cur);
-  result.all_halted = (num_halted == n);
-  if constexpr (kObserved) {
-    RunStats stats;
-    stats.rounds = result.rounds;
-    stats.all_halted = result.all_halted;
-    stats.n = n;
-    stats.seconds = run_timer.seconds();
-    stats.threads = threads;
-    obs->on_run_end(stats);
-  }
-  return result;
-}
-
-// The packed fast path (see header comment). Same observable semantics as
-// run_local_impl; the differences are purely in storage and bookkeeping:
-//
-//   * no cached NodeEnv array (~80 B/node) — the environment is a handful of
-//     loads rebuilt per step;
-//   * no per-buffer neighbor-pointer tables (16 B per adjacency slot) —
-//     neighbor views are assembled into a per-chunk scratch row of at most
-//     Δ pointers, which stays L1-resident;
-//   * the step loop records one done byte per active-list position; halts
-//     are then left-packed per chunk into a slab region (chunk c owns
-//     slab[chunk_begin..), so regions are disjoint and the chunk-order merge
-//     reads them back in ascending node order) and the active list is
-//     left-packed in place at the barrier — both via the util/simd.hpp
-//     compaction kernel (vector or scalar per EngineOptions::simd);
-//   * a halted node's stale entry in the other buffer is refreshed at merge
-//     time, eliminating the fresh_halts list.
-//
-// When unobserved, the whole round loop runs under AssertNoAlloc on the
-// dispatching thread: the engine's own steady state allocates nothing, and a
-// packed algorithm whose step allocates fails loudly (worker-thread
-// allocations are certified separately by the threads=1 tests, where the
-// dispatching thread runs every chunk).
-template <typename A, typename Obs>
-EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
-                                      int max_rounds, Obs* obs,
-                                      const EngineOptions& opts) {
-  using State = typename A::State;
-  static_assert(std::is_trivially_copyable_v<State>,
-                "packed_state algorithms need a trivially copyable State");
-  constexpr bool kObserved = !std::is_same_v<Obs, NullEngineObserver>;
-  input.validate();
-  const Graph& g = *input.graph;
-  const NodeId n = g.num_nodes();
-
-  int threads = opts.threads > 0 ? opts.threads : default_engine_threads();
-  if (in_parallel_worker()) threads = 1;
-  threads = std::clamp<int>(threads, 1, std::max<NodeId>(n, 1));
-  const bool stealing =
-      opts.schedule == EngineSchedule::kWorkStealing && threads > 1;
-  const int max_chunks =
-      stealing ? threads * kStealChunksPerThread : threads;
-
-  std::vector<Rng> rngs;
-  const bool randomized = !input.has_ids() && needs_rng_v<A>;
-  if (randomized) {
-    rngs.reserve(static_cast<std::size_t>(n));
-    for (NodeId v = 0; v < n; ++v) {
-      rngs.push_back(node_rng(input.seed, static_cast<std::uint64_t>(v)));
-    }
-  }
-  // Whether to route the steady-state kernels through the vector backend.
-  // Purely a speed knob: vector and scalar kernels are output-identical.
-  const bool use_simd = opts.simd && simd::kHaveVectorBackend;
 
   // Incident edge labels flattened onto the graph's adjacency slots: the
   // label of port k of node v lives at the same index as adjacency entry k
@@ -571,8 +305,8 @@ EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
   // its halts into slab positions [chunk_begin, chunk_begin +
   // halt_counts[c]) — regions disjoint by construction and ordered like the
   // chunks — and the barrier compacts survivors out of the active list in
-  // place. Positional flags make both compactions SIMD-able and replace the
-  // per-node halted[] byte array at the same 1 B/node.
+  // place. Positional flags keep both compactions branch-free and cost the
+  // same 1 B/node a per-node halted[] array would.
   std::vector<std::uint8_t> done(static_cast<std::size_t>(n), 0);
   std::vector<NodeId> halt_slab(static_cast<std::size_t>(n));
   std::vector<std::int32_t> halt_counts(static_cast<std::size_t>(max_chunks),
@@ -599,7 +333,7 @@ EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
     // that never linked obs/resource.cpp the counters sit idle and the
     // guard would fail spuriously; the loud mis-link detection stays with
     // the dedicated certificates in test_obs_resource / test_engine_packed.
-    if (alloc_counting_active()) no_alloc.emplace("packed engine round loop");
+    if (alloc_counting_active()) no_alloc.emplace("engine round loop");
   }
   if (opts.budget != nullptr &&
       opts.budget->charge(0) != BudgetStop::kNone) {
@@ -626,11 +360,7 @@ EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
         const NodeId v = active[static_cast<std::size_t>(i)];
         const std::span<const NodeId> nbrs = g.neighbors(v);
         const std::size_t deg = nbrs.size();
-        if (use_simd) {
-          simd::assemble_rows8(row, nbrs.data(), deg, cur);
-        } else {
-          simd::assemble_rows8_scalar(row, nbrs.data(), deg, cur);
-        }
+        for (std::size_t k = 0; k < deg; ++k) row[k] = cur + nbrs[k];
         State& mine = nxt[v];
         mine = cur[v];
         const NodeEnv env = env_of(v, nbrs);
@@ -639,15 +369,9 @@ EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
       }
       // Left-pack this chunk's halts (done positions) into its slab region.
       const std::int64_t len = chunk_end - chunk_begin;
-      const std::int64_t halts =
-          use_simd ? simd::compact_by_flag(halt_slab.data() + chunk_begin,
-                                           active.data() + chunk_begin,
-                                           done.data() + chunk_begin, len,
-                                           /*want=*/true)
-                   : simd::compact_by_flag_scalar(
-                         halt_slab.data() + chunk_begin,
-                         active.data() + chunk_begin,
-                         done.data() + chunk_begin, len, /*want=*/true);
+      const std::int64_t halts = compact_by_flag(
+          halt_slab.data() + chunk_begin, active.data() + chunk_begin,
+          done.data() + chunk_begin, len, /*want=*/true);
       halt_counts[static_cast<std::size_t>(chunk)] =
           static_cast<std::int32_t>(halts);
       if constexpr (kObserved) {
@@ -681,15 +405,9 @@ EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
 
     if (halts_this_round > 0) {
       // In-place left-pack of the survivors (done == 0), driven by the same
-      // positional flags the step loop wrote. Legal aliasing per the kernel
-      // contract in util/simd.hpp.
-      active_count =
-          use_simd ? simd::compact_by_flag(active.data(), active.data(),
-                                           done.data(), stepped,
-                                           /*want=*/false)
-                   : simd::compact_by_flag_scalar(active.data(), active.data(),
-                                                  done.data(), stepped,
-                                                  /*want=*/false);
+      // positional flags the step loop wrote.
+      active_count = compact_by_flag(active.data(), active.data(),
+                                     done.data(), stepped, /*want=*/false);
     }
     std::swap(cur, nxt);
     ++result.rounds;
@@ -707,8 +425,9 @@ EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
       stats.chunk_seconds = chunk_seconds;
       obs->on_round_end(stats);
     }
-    // Round-barrier budget check, mirroring the generic path. Runs after
-    // the slab merge and buffer swap, so cur is the last completed round.
+    // Budget check at the round barrier. Runs after the slab merge and
+    // buffer swap, so cur is a consistent round: stopping here never tears
+    // state.
     if (opts.budget != nullptr &&
         opts.budget->charge(static_cast<std::uint64_t>(stepped)) !=
             BudgetStop::kNone) {
@@ -733,29 +452,17 @@ EngineResult<A> run_local_packed_impl(const LocalInput& input, A& algo,
 
 }  // namespace detail
 
-// Full-control overload: scheduling, thread count, and the packed/generic
-// path selection all live in `options`. Packed algorithms (see header
-// comment) take the packed fast path unless options.force_generic; results
-// are bit-identical across paths, thread counts, and schedulers.
+// Full-control overload: scheduling and thread count live in `options`;
+// results are bit-identical across thread counts and schedulers.
 template <typename A>
 EngineResult<A> run_local(const LocalInput& input, A& algo, int max_rounds,
                           EngineObserver* observer,
                           const EngineOptions& options) {
-  if constexpr (detail::is_packed_algorithm_v<A>) {
-    if (!options.force_generic) {
-      if (observer == nullptr) {
-        return detail::run_local_packed_impl<A, detail::NullEngineObserver>(
-            input, algo, max_rounds, nullptr, options);
-      }
-      return detail::run_local_packed_impl(input, algo, max_rounds, observer,
-                                           options);
-    }
-  }
   if (observer == nullptr) {
-    return detail::run_local_impl<A, detail::NullEngineObserver>(
+    return detail::run_engine<A, detail::NullEngineObserver>(
         input, algo, max_rounds, nullptr, options);
   }
-  return detail::run_local_impl(input, algo, max_rounds, observer, options);
+  return detail::run_engine(input, algo, max_rounds, observer, options);
 }
 
 // Runs `algo` on `input` for at most `max_rounds` synchronous rounds, using

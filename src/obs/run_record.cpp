@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
-#include "util/simd.hpp"
 
 namespace ckp {
 
@@ -74,7 +73,6 @@ RunProvenance collect_provenance() {
 #else
   p.build_flags = "unknown";
 #endif
-  p.simd = simd::kBackendName;
   return p;
 }
 
@@ -118,7 +116,6 @@ std::string RunRecord::to_json() const {
     if (!provenance.build_flags.empty()) {
       w.key("build_flags").value(provenance.build_flags);
     }
-    if (!provenance.simd.empty()) w.key("simd").value(provenance.simd);
     w.end_object();
   }
   if (!trace.empty()) w.key("trace").raw(trace.to_json());
@@ -168,9 +165,6 @@ RunRecord RunRecord::from_json_line(const std::string& line) {
     }
     if (const JsonValue* f = v->find("build_flags")) {
       rec.provenance.build_flags = f->as_string();
-    }
-    if (const JsonValue* f = v->find("simd")) {
-      rec.provenance.simd = f->as_string();
     }
   }
   if (const JsonValue* v = doc.find("trace")) {

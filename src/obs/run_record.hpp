@@ -29,11 +29,10 @@ struct RunProvenance {
   std::string timestamp;    // ISO-8601 UTC, e.g. "2026-08-09T12:00:00Z"
   std::string host;         // gethostname()
   std::string build_flags;  // CMAKE_BUILD_TYPE + CXX flags baked at build
-  std::string simd;         // selected SIMD backend: "avx2", "neon", "scalar"
 
   bool empty() const {
     return git_sha.empty() && timestamp.empty() && host.empty() &&
-           build_flags.empty() && simd.empty();
+           build_flags.empty();
   }
 };
 

@@ -42,10 +42,8 @@ void SpanTracer::add_complete(std::string name, double start_seconds,
 double SpanTracer::add_trace(const Trace& trace, double start_seconds) {
   double cursor = start_seconds;
   for (const PhaseRecord& p : trace.phases()) {
-    const double dur =
-        p.seconds > 0.0 ? p.seconds : static_cast<double>(p.rounds) * 1e-3;
-    add_complete(p.name, cursor, dur);
-    cursor += dur;
+    add_complete(p.name, cursor, p.seconds);
+    cursor += p.seconds;
   }
   return cursor;
 }

@@ -44,9 +44,9 @@ class SpanTracer {
                     double duration_seconds);
 
   // Lays one complete span per Trace phase end-to-end starting at
-  // `start_seconds`, using each phase's recorded wall time. Phases without
-  // wall time get a synthetic 1ms-per-round duration so the relative phase
-  // structure is still visible on the timeline. Returns the end time.
+  // `start_seconds`, using each phase's recorded wall time. A phase without
+  // measured wall time becomes a zero-duration span: it keeps its place on
+  // the timeline, but no time is invented for it. Returns the end time.
   double add_trace(const Trace& trace, double start_seconds = 0.0);
 
   std::size_t size() const { return events_.size(); }

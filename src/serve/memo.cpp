@@ -20,8 +20,7 @@ std::string MemoFacts::canonical() const {
   for (const auto& [key, value] : params) {
     out << "p." << key << "=" << value << ";";
   }
-  out << graph.canonical() << ";seed=" << seed << ";max_rounds=" << max_rounds
-      << ";force_generic=" << (force_generic ? 1 : 0);
+  out << graph.canonical() << ";seed=" << seed << ";max_rounds=" << max_rounds;
   return out.str();
 }
 

@@ -1,17 +1,11 @@
 // Content-addressed result memoization for the job server.
 //
 // A completed, verified run is a pure function of the *semantic* inputs:
-// the algorithm (name + version), its params, the graph spec, the run seed,
-// the round cap, and which engine path ran (force_generic). Everything else
-// the server can vary — thread count, scheduler, SIMD backend, budgets that
-// never triggered — is bit-identity-neutral by the engine's contract
-// (DESIGN.md §11), so it is deliberately EXCLUDED from the key: a result
-// computed on 8 threads with AVX2 serves a 1-thread scalar resubmission.
-// force_generic is INCLUDED even though the paths are differentially tested
-// to be identical: the memo key must not encode a theorem the test suite is
-// in the business of checking — if a path divergence ever slips in, distinct
-// keys keep the store honest instead of laundering one path's output as the
-// other's.
+// the algorithm (name + version), its params, the graph spec, the run seed
+// and the round cap. Everything else the server can vary — thread count,
+// scheduler, budgets that never triggered — is bit-identity-neutral by the
+// engine's contract (DESIGN.md §11), so it is deliberately EXCLUDED from the
+// key: a result computed on 8 threads serves a 1-thread resubmission.
 //
 // Values are stored through store/ArtifactStore (atomic temp+fsync+rename;
 // crash-safe) framed with the standard artifact header. The payload is the
@@ -39,7 +33,6 @@ struct MemoFacts {
   GraphSpec graph;
   std::uint64_t seed = 0;
   int max_rounds = 0;
-  bool force_generic = false;
 
   // Deterministic "k=v;" rendering: params in sorted key order (KV is an
   // ordered map), every field present even at its default.

@@ -1,4 +1,5 @@
 #include "serve/registry.hpp"
+#include "serve/spin_program.hpp"
 
 #include <algorithm>
 #include <cerrno>
@@ -321,35 +322,6 @@ class Thm11Algo final : public Algorithm {
   }
 };
 
-// Never-halting packed workload for budget/cancellation coverage: every
-// node accumulates a mix of its own and its neighbors' words each round and
-// never halts, so a run ends only via max_rounds or a budget stop. The word
-// is a deterministic function of the topology and round count — cancelling
-// at round r always yields the same digest — which is what lets the
-// cancellation tests assert consistent (untorn) partial states.
-struct SpinNode {
-  static constexpr bool packed_state = true;
-  static constexpr bool needs_rng = false;
-
-  struct State {
-    std::uint64_t word;
-  };
-
-  State init(const NodeEnv& env) {
-    return State{mix_seed(static_cast<std::uint64_t>(env.index),
-                          static_cast<std::uint64_t>(env.degree))};
-  }
-
-  bool step(State& self, const NodeEnv& env,
-            std::span<const State* const> nbrs) {
-    (void)env;
-    std::uint64_t acc = self.word * 0x9e3779b97f4a7c15ULL;
-    for (const State* nbr : nbrs) acc += nbr->word;
-    self.word = acc;
-    return false;
-  }
-};
-
 class SpinAlgo final : public Algorithm {
  public:
   const std::string& name() const override {
@@ -363,8 +335,8 @@ class SpinAlgo final : public Algorithm {
   AlgoRun run(const LocalInput& input, int max_rounds,
               const EngineOptions& options, const KV& params) const override {
     check_params(name(), params, {});
-    SpinNode algo;
-    const EngineResult<SpinNode> r =
+    detail::SpinNode algo;
+    const EngineResult<detail::SpinNode> r =
         run_local(input, algo, max_rounds, nullptr, options);
     AlgoRun out;
     out.rounds = r.rounds;
@@ -372,7 +344,7 @@ class SpinAlgo final : public Algorithm {
     out.verified = false;
     out.engine_bytes = r.engine_bytes;
     std::uint64_t acc = 0xcbf29ce484222325ULL;
-    for (const SpinNode::State& s : r.states) {
+    for (const detail::SpinNode::State& s : r.states) {
       acc = mix_seed(acc, s.word);
     }
     out.output_digest = acc;

@@ -169,8 +169,7 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
   std::string id;
   try {
     check_members(doc, {"op", "id", "algo", "graph", "seed", "max_rounds",
-                        "params", "deadline_ms", "step_limit",
-                        "force_generic", "no_memo"});
+                        "params", "deadline_ms", "step_limit", "no_memo"});
     id = doc.at("id").as_string();
     CKP_CHECK_MSG(!id.empty(), "job id must be non-empty");
 
@@ -191,7 +190,6 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
     job->max_rounds =
         static_cast<int>(int_field(doc, "max_rounds", 1 << 20));
     CKP_CHECK_MSG(job->max_rounds >= 1, "max_rounds must be >= 1");
-    job->force_generic = bool_field(doc, "force_generic", false);
     job->no_memo = bool_field(doc, "no_memo", false);
 
     if (const JsonValue* params = doc.find("params")) {
@@ -222,7 +220,6 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
     job->facts.graph = job->graph;
     job->facts.seed = job->seed;
     job->facts.max_rounds = job->max_rounds;
-    job->facts.force_generic = job->force_generic;
 
     // Memo fast path: a prior completed run with the same semantic identity
     // answers at admission time — zero queueing, zero engine rounds, the
@@ -323,7 +320,6 @@ void JobServer::execute(Job& job) {
     const LocalInput input = prepare_input(*job.algo, built, job.seed);
     EngineOptions eopts;
     eopts.threads = opts_.engine_threads;
-    eopts.force_generic = job.force_generic;
     eopts.budget = job.budget.get();
     const AlgoRun run =
         job.algo->run(input, job.max_rounds, eopts, job.params);

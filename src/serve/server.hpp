@@ -13,8 +13,7 @@
 //   {"op":"run","id":"j1","algo":"luby",
 //    "graph":{"family":"cycle","n":4096},"seed":7,
 //    "max_rounds":100000,"params":{"palette":"4"},
-//    "deadline_ms":500,"step_limit":0,
-//    "force_generic":false,"no_memo":false}
+//    "deadline_ms":500,"step_limit":0,"no_memo":false}
 //   {"op":"cancel","id":"j1"}
 //   {"op":"stats"}
 //   {"op":"shutdown"}
@@ -27,7 +26,7 @@
 //
 // Budgets: deadline_ms (measured from *admission*, so queue wait counts
 // against the job), step_limit (cumulative node-steps), and op=cancel all
-// feed the job's RunBudget, which both engine paths check at the round
+// feed the job's RunBudget, which the engine checks at the round
 // barrier — a stopped job ends on a consistent round boundary with
 // cancelled=true in its record, never torn state. Completed verified
 // un-budgeted runs are memoized through serve/memo.hpp; a memo hit is
@@ -127,7 +126,6 @@ class JobServer {
     GraphSpec graph;
     std::uint64_t seed = 1;
     int max_rounds = 1 << 20;
-    bool force_generic = false;
     bool no_memo = false;
     std::unique_ptr<RunBudget> budget;  // stable address for op=cancel
     MemoFacts facts;

@@ -35,7 +35,7 @@ std::string ArtifactStore::sanitize_key(const std::string& key) {
                       c == '-';
     out += safe ? c : '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

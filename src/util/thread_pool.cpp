@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -245,7 +246,10 @@ ThreadPoolStats ThreadPool::stats() {
 namespace {
 
 std::mutex g_pool_mu;
-std::unique_ptr<ThreadPool> g_pool;
+// Every pool shared_pool() ever created, the largest last. Growing appends a
+// new pool and never destroys an old one: callers on other threads may still
+// hold a reference to it.
+std::vector<std::unique_ptr<ThreadPool>> g_pools;
 int g_default_threads = 0;  // 0 = unset; fall back to env, then 1
 
 }  // namespace
@@ -253,17 +257,17 @@ int g_default_threads = 0;  // 0 = unset; fall back to env, then 1
 ThreadPool& shared_pool(int threads) {
   CKP_CHECK_MSG(threads >= 1, "shared_pool needs at least one thread");
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (!g_pool || g_pool->num_threads() < threads) {
-    g_pool = std::make_unique<ThreadPool>(threads);
+  if (g_pools.empty() || g_pools.back()->num_threads() < threads) {
+    g_pools.push_back(std::make_unique<ThreadPool>(threads));
   }
-  return *g_pool;
+  return *g_pools.back();
 }
 
 ThreadPoolStats shared_pool_stats() {
   ThreadPool* pool = nullptr;
   {
     std::lock_guard<std::mutex> lock(g_pool_mu);
-    pool = g_pool.get();
+    if (!g_pools.empty()) pool = g_pools.back().get();
   }
   return pool != nullptr ? pool->stats() : ThreadPoolStats{};
 }

@@ -34,7 +34,7 @@ namespace ckp {
 // Non-owning, trivially-copyable reference to a chunk body
 // (callable as body(chunk_begin, chunk_end, chunk_index)). Dispatching
 // through ChunkRef instead of std::function keeps parallel_for posts
-// allocation-free, which the packed engine's AssertNoAlloc-certified round
+// allocation-free, which the engine's AssertNoAlloc-certified round
 // loop depends on. The referenced callable must outlive the parallel_for
 // call — trivially true for the stack lambdas every call site passes.
 class ChunkRef {
@@ -167,12 +167,15 @@ bool in_parallel_worker();
 
 // Process-wide pool shared by the engine and the trial fan-out, created
 // lazily and grown (never shrunk) to satisfy the largest request. Returns a
-// pool with num_threads() >= threads.
+// pool with num_threads() >= threads. Grow-only: a larger request creates a
+// new pool and keeps every earlier one alive, so a returned reference stays
+// valid for the life of the process.
 ThreadPool& shared_pool(int threads);
 
-// stats() of the process-wide pool, or a default-constructed snapshot
-// (threads == 0) when no shared pool has been created yet. Growing the pool
-// replaces it, so cumulative counters restart from the largest request.
+// stats() of the largest shared pool, or a default-constructed snapshot
+// (threads == 0) when no shared pool has been created yet. Growing moves
+// new work to a fresh pool, so cumulative counters restart from the largest
+// request.
 ThreadPoolStats shared_pool_stats();
 
 // CKP_THREADS environment override, or 0 when unset/invalid.

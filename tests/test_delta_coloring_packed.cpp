@@ -1,9 +1,8 @@
 // The packed Δ-coloring port (algo/delta_coloring_local.hpp): differentials
 // against the retained src/core references (proper colorings, the same
-// palette structure and shattering-statistic definitions), the packed-path
-// bit-identity contract across threads × schedulers × SIMD backends and
-// against force_generic, the per-node byte budget the scale bench gates on,
-// and the precondition rejections.
+// palette structure and shattering-statistic definitions), bit-identity with
+// the naive reference engine and across threads × schedulers, the per-node
+// byte budget the scale bench gates on, and the precondition rejections.
 #include "algo/delta_coloring_local.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/delta_coloring_local_program.hpp"
 #include "core/delta_coloring_thm10.hpp"
 #include "core/delta_coloring_thm11.hpp"
 #include "graph/graph.hpp"
@@ -18,6 +18,7 @@
 #include "lcl/verify_coloring.hpp"
 #include "local/context.hpp"
 #include "local/engine.hpp"
+#include "reference_engine.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -129,7 +130,7 @@ TEST(DeltaColoringPacked, Thm11SmallAndDegenerateTrees) {
   }
 }
 
-// --- Bit-identity: threads × schedulers × SIMD × packed-vs-generic. -------
+// --- Bit-identity: reference engine, threads × schedulers. ---------------
 
 TEST(DeltaColoringPacked, Thm10ThreadScheduleSimdAndGenericInvariant) {
   const int delta = 32;
@@ -137,33 +138,28 @@ TEST(DeltaColoringPacked, Thm10ThreadScheduleSimdAndGenericInvariant) {
   const Graph g = make_random_tree(3000, delta, rng);
   const LocalInput input = rand_input(g, delta, 11);
 
+  testing::expect_matches_reference(
+      input, [&] { return detail::thm10_program(delta, Thm10Params{}); },
+      1 << 20);
+
   EngineOptions base;
   base.threads = 1;
   const auto baseline = delta_coloring_thm10_local(input, 1 << 20, base);
   ASSERT_TRUE(baseline.completed);
-
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {2, 8}) {
     for (const auto schedule :
          {EngineSchedule::kStatic, EngineSchedule::kWorkStealing}) {
-      for (const bool simd : {false, true}) {
-        for (const bool force_generic : {false, true}) {
-          EngineOptions opts;
-          opts.threads = threads;
-          opts.schedule = schedule;
-          opts.simd = simd;
-          opts.force_generic = force_generic;
-          const auto run = delta_coloring_thm10_local(input, 1 << 20, opts);
-          ASSERT_TRUE(run.completed);
-          EXPECT_EQ(run.colors, baseline.colors)
-              << "threads=" << threads << " ws="
-              << (schedule == EngineSchedule::kWorkStealing)
-              << " simd=" << simd << " generic=" << force_generic;
-          EXPECT_EQ(run.rounds, baseline.rounds);
-          EXPECT_EQ(run.bad_vertices, baseline.bad_vertices);
-          EXPECT_EQ(run.largest_bad_component,
-                    baseline.largest_bad_component);
-        }
-      }
+      EngineOptions opts;
+      opts.threads = threads;
+      opts.schedule = schedule;
+      const auto run = delta_coloring_thm10_local(input, 1 << 20, opts);
+      ASSERT_TRUE(run.completed);
+      EXPECT_EQ(run.colors, baseline.colors)
+          << "threads=" << threads
+          << " ws=" << (schedule == EngineSchedule::kWorkStealing);
+      EXPECT_EQ(run.rounds, baseline.rounds);
+      EXPECT_EQ(run.bad_vertices, baseline.bad_vertices);
+      EXPECT_EQ(run.largest_bad_component, baseline.largest_bad_component);
     }
   }
 }
@@ -174,34 +170,30 @@ TEST(DeltaColoringPacked, Thm11ThreadScheduleSimdAndGenericInvariant) {
   const Graph g = make_random_tree(3000, delta, rng);
   const LocalInput input = rand_input(g, delta, 13);
 
+  testing::expect_matches_reference(
+      input, [&] { return detail::Thm11LocalAlgo{delta, delta - 3}; },
+      1 << 20);
+
   EngineOptions base;
   base.threads = 1;
   const auto baseline = delta_coloring_thm11_local(input, 1 << 20, base);
   ASSERT_TRUE(baseline.completed);
-
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {2, 8}) {
     for (const auto schedule :
          {EngineSchedule::kStatic, EngineSchedule::kWorkStealing}) {
-      for (const bool simd : {false, true}) {
-        for (const bool force_generic : {false, true}) {
-          EngineOptions opts;
-          opts.threads = threads;
-          opts.schedule = schedule;
-          opts.simd = simd;
-          opts.force_generic = force_generic;
-          const auto run = delta_coloring_thm11_local(input, 1 << 20, opts);
-          ASSERT_TRUE(run.completed);
-          EXPECT_EQ(run.colors, baseline.colors)
-              << "threads=" << threads << " ws="
-              << (schedule == EngineSchedule::kWorkStealing)
-              << " simd=" << simd << " generic=" << force_generic;
-          EXPECT_EQ(run.rounds, baseline.rounds);
-          EXPECT_EQ(run.phase2_set_size, baseline.phase2_set_size);
-          EXPECT_EQ(run.phase2_largest_component,
-                    baseline.phase2_largest_component);
-          EXPECT_EQ(run.phase3_set_size, baseline.phase3_set_size);
-        }
-      }
+      EngineOptions opts;
+      opts.threads = threads;
+      opts.schedule = schedule;
+      const auto run = delta_coloring_thm11_local(input, 1 << 20, opts);
+      ASSERT_TRUE(run.completed);
+      EXPECT_EQ(run.colors, baseline.colors)
+          << "threads=" << threads
+          << " ws=" << (schedule == EngineSchedule::kWorkStealing);
+      EXPECT_EQ(run.rounds, baseline.rounds);
+      EXPECT_EQ(run.phase2_set_size, baseline.phase2_set_size);
+      EXPECT_EQ(run.phase2_largest_component,
+                baseline.phase2_largest_component);
+      EXPECT_EQ(run.phase3_set_size, baseline.phase3_set_size);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "lcl/verify_coloring.hpp"
 #include "lcl/verify_mis.hpp"
 #include "local/ids.hpp"
+#include "store/binary_io.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 
@@ -43,6 +44,25 @@ TEST(LeaderElection, RoundsTrackDiameterWithTightMargin) {
   // Information from node 199 reaches node 0 after 199 rounds, plus margin.
   EXPECT_GE(r.rounds, 199);
   EXPECT_LE(r.rounds, 199 + 201);
+}
+
+// Output digest recorded before the engine's second (generic) round loop was
+// deleted; elect_leader was that loop's only production user. A margin far
+// below the diameter halts nodes mid-flood, so leader_seen varies per node.
+TEST(LeaderElection, OutputDigestIsPinned) {
+  const Graph g = make_path(4096);
+  Rng rng(0x1EAD);
+  LocalInput in;
+  in.graph = &g;
+  in.ids = random_ids(g.num_nodes(), 32, rng);
+  const auto r = elect_leader(in, /*stability_margin=*/6);
+  const std::uint64_t digest = fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(r.leader_seen.data()),
+      r.leader_seen.size() * sizeof(std::uint64_t)));
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.rounds, 32);
+  EXPECT_EQ(r.leader, 225);
+  EXPECT_EQ(digest, 0x2cc69d568ee5adafULL) << "digest 0x" << std::hex << digest;
 }
 
 TEST(LeaderElection, RequiresIds) {

@@ -1,6 +1,7 @@
-// Bit-identical parallel execution: run_local with any thread count must
-// reproduce the sequential engine exactly — states, round counts, halt
-// patterns, and the observer's view of the run. Exercises DetLOCAL and
+// Bit-identical parallel execution: run_local with any thread count and
+// either scheduler must reproduce the naive reference engine
+// (tests/reference_engine.hpp) exactly — states, round counts, halting —
+// and the sequential run's halt pattern and observer view. Exercises DetLOCAL and
 // RandLOCAL algorithms over trees, cycles, Ramanujan graphs, and random
 // regular graphs, the topologies the paper's experiments sweep.
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "local/engine.hpp"
 #include "local/ids.hpp"
 #include "obs/observer.hpp"
+#include "reference_engine.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -102,14 +104,7 @@ TEST(EngineParallel, DetAlgorithmBitIdenticalAcrossThreadCounts) {
     LocalInput in;
     in.graph = &g;
     in.ids = random_ids(n, 24, rng);
-
-    MaxFlood seq_algo;
-    const auto seq = run_local(in, seq_algo, 2000, nullptr, 1);
-    for (const int threads : {2, 8}) {
-      MaxFlood par_algo;
-      const auto par = run_local(in, par_algo, 2000, nullptr, threads);
-      expect_same_run(seq, par);
-    }
+    testing::expect_matches_reference(in, [] { return MaxFlood{}; }, 2000);
   }
 }
 
@@ -118,15 +113,9 @@ TEST(EngineParallel, RandAlgorithmBitIdenticalAcrossThreadCounts) {
     LocalInput in;
     in.graph = &g;
     in.seed = 0xA11CE;
-
-    RandomDrift seq_algo;
-    const auto seq = run_local(in, seq_algo, 200, nullptr, 1);
-    EXPECT_TRUE(seq.all_halted);
-    for (const int threads : {2, 8}) {
-      RandomDrift par_algo;
-      const auto par = run_local(in, par_algo, 200, nullptr, threads);
-      expect_same_run(seq, par);
-    }
+    RandomDrift algo;
+    EXPECT_TRUE(testing::run_reference(in, algo, 200).all_halted);
+    testing::expect_matches_reference(in, [] { return RandomDrift{}; }, 200);
   }
 }
 
@@ -135,12 +124,9 @@ TEST(EngineParallel, TruncatedRunsMatchToo) {
   LocalInput in;
   in.graph = &g;
   in.seed = 99;
-  RandomDrift seq_algo;
-  const auto seq = run_local(in, seq_algo, 5, nullptr, 1);
-  EXPECT_FALSE(seq.all_halted);
-  RandomDrift par_algo;
-  const auto par = run_local(in, par_algo, 5, nullptr, 8);
-  expect_same_run(seq, par);
+  RandomDrift algo;
+  EXPECT_FALSE(testing::run_reference(in, algo, 5).all_halted);
+  testing::expect_matches_reference(in, [] { return RandomDrift{}; }, 5);
 }
 
 TEST(EngineParallel, RealAlgorithmUnderGlobalThreadDefault) {

@@ -12,6 +12,7 @@
 #include "local/ids.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
+#include "reference_engine.hpp"
 
 namespace ckp {
 namespace {
@@ -149,57 +150,8 @@ TEST(EngineObserver, ObservedRunIsBitIdenticalToUnobserved) {
   EXPECT_EQ(with_null.rounds, plain.rounds);
 }
 
-// Reference engine: the pre-optimization behavior that refreshed EVERY
-// node's scratch entry after the swap, not just halted ones. run_local's
-// halted-only refresh must be observationally equivalent to this.
-template <typename A>
-EngineResult<A> run_local_full_copy(const LocalInput& input, A& algo,
-                                    int max_rounds) {
-  using State = typename A::State;
-  input.validate();
-  const Graph& g = *input.graph;
-  const NodeId n = g.num_nodes();
-
-  auto env_of = [&](NodeId v) {
-    NodeEnv env;
-    env.index = v;
-    env.degree = g.degree(v);
-    env.declared_n = input.effective_n();
-    env.declared_delta = input.effective_delta();
-    env.id = input.has_ids() ? input.id_of(v) : kNoId;
-    return env;
-  };
-
-  EngineResult<A> result;
-  for (NodeId v = 0; v < n; ++v) result.states.push_back(algo.init(env_of(v)));
-  std::vector<char> halted(static_cast<std::size_t>(n), 0);
-  std::vector<State> next = result.states;
-  std::vector<const State*> nbr_ptrs;
-
-  NodeId num_halted = 0;
-  while (num_halted < n && result.rounds < max_rounds) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (halted[static_cast<std::size_t>(v)]) continue;
-      nbr_ptrs.clear();
-      for (NodeId u : g.neighbors(v)) {
-        nbr_ptrs.push_back(&result.states[static_cast<std::size_t>(u)]);
-      }
-      State& mine = next[static_cast<std::size_t>(v)];
-      mine = result.states[static_cast<std::size_t>(v)];
-      if (algo.step(mine, env_of(v),
-                    std::span<const State* const>(nbr_ptrs))) {
-        halted[static_cast<std::size_t>(v)] = 1;
-        ++num_halted;
-      }
-    }
-    std::swap(result.states, next);
-    ++result.rounds;
-    next = result.states;  // full copy: every entry refreshed
-  }
-  result.all_halted = (num_halted == n);
-  return result;
-}
-
+// The engine refreshes only a halted node's stale scratch entry; the
+// reference engine copies every state every round. They must agree.
 TEST(Engine, HaltedOnlyRefreshMatchesFullCopyReference) {
   for (const int max_rounds : {3, 100}) {  // truncated and completed runs
     const Graph g = make_complete_tree(80, 3);
@@ -210,7 +162,7 @@ TEST(Engine, HaltedOnlyRefreshMatchesFullCopyReference) {
     MaxFlood engine_algo;
     const auto engine = run_local(in, engine_algo, max_rounds);
     MaxFlood ref_algo;
-    const auto reference = run_local_full_copy(in, ref_algo, max_rounds);
+    const auto reference = testing::run_reference(in, ref_algo, max_rounds);
 
     EXPECT_EQ(engine.rounds, reference.rounds);
     EXPECT_EQ(engine.all_halted, reference.all_halted);

@@ -339,12 +339,12 @@ TEST(SpanTracer, TraceExportsOneCompleteEventPerPhase) {
   Trace trace;
   trace.record("schedule", 5, 0, 0.010);
   trace.record("phase1", 20, 0, 0.050);
-  trace.record("phase2", 2);  // no wall time: synthetic duration
+  trace.record("phase2", 2);  // no wall time: a zero-duration span
 
   SpanTracer tracer;
   const double end = tracer.add_trace(trace);
   EXPECT_EQ(tracer.size(), 3u);
-  EXPECT_GT(end, 0.06);  // at least the two measured phases
+  EXPECT_NEAR(end, 0.06, 1e-12);  // the two measured phases, nothing more
 
   const JsonValue v = json_parse(tracer.chrome_json());
   ASSERT_TRUE(v.is_object());
@@ -363,6 +363,7 @@ TEST(SpanTracer, TraceExportsOneCompleteEventPerPhase) {
   }
   EXPECT_EQ(events.array[0].at("name").as_string(), "schedule");
   EXPECT_EQ(events.array[2].at("name").as_string(), "phase2");
+  EXPECT_EQ(events.array[2].at("dur").as_number(), 0.0);
 }
 
 TEST(SpanTracer, ScopedSpansCloseOnDestruction) {

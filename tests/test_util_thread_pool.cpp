@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "util/check.hpp"
@@ -187,6 +189,32 @@ TEST(ThreadPool, SharedPoolGrowsToLargestRequest) {
   EXPECT_GE(shared_pool(2).num_threads(), 2);
   EXPECT_GE(shared_pool(5).num_threads(), 5);
   EXPECT_GE(shared_pool(2).num_threads(), 5);  // never shrinks
+}
+
+// Regression: growing the shared pool used to destroy the pool it replaced
+// while another thread still held it (a use-after-free under ASan). A pool
+// handed out once must stay usable for the life of the process.
+TEST(ThreadPool, SharedPoolGrowthKeepsHandedOutPoolsAlive) {
+  ThreadPool& small = shared_pool(2);
+  const int grown_size = small.num_threads() + 6;
+  std::atomic<bool> running{false};
+  std::atomic<std::int64_t> covered{0};
+  std::thread grower([&] {
+    while (!running.load()) std::this_thread::yield();
+    EXPECT_GE(shared_pool(grown_size).num_threads(), grown_size);
+  });
+  for (int job = 0; job < 2; ++job) {  // the second job runs after growth
+    small.parallel_for(0, 256, small.num_threads(),
+                       [&](std::int64_t lo, std::int64_t hi, int) {
+                         running.store(true);
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(5));
+                         covered.fetch_add(hi - lo);
+                       });
+    if (job == 0) grower.join();
+  }
+  EXPECT_EQ(covered.load(), 2 * 256);
+  EXPECT_GE(small.num_threads(), 2);
 }
 
 TEST(ThreadPool, DefaultEngineThreadsPrefersExplicitOverEnv) {
