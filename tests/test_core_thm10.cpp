@@ -1,6 +1,7 @@
 #include "core/delta_coloring_thm10.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -13,15 +14,19 @@
 namespace ckp {
 namespace {
 
+// No padding bytes: gtest names each case by the raw bytes of its parameter,
+// and padding left uninitialised would make the names differ between builds.
 struct Thm10Case {
-  int delta;
+  std::int64_t delta;
   std::uint64_t seed;
 };
+static_assert(sizeof(Thm10Case) == 2 * sizeof(std::uint64_t));
 
 class Thm10Sweep : public ::testing::TestWithParam<Thm10Case> {};
 
 TEST_P(Thm10Sweep, ProperDeltaColoringOnTrees) {
-  const auto [delta, seed] = GetParam();
+  const int delta = static_cast<int>(GetParam().delta);
+  const std::uint64_t seed = GetParam().seed;
   Rng rng(mix_seed(seed, static_cast<std::uint64_t>(delta), 0xAA));
   for (NodeId n : {1, 2, 100, 1000, 5000}) {
     const Graph g = make_random_tree(n, delta, rng);

@@ -1,5 +1,7 @@
 #include "core/delta_coloring_thm11.hpp"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "graph/trees.hpp"
@@ -10,15 +12,19 @@
 namespace ckp {
 namespace {
 
+// No padding bytes: gtest names each case by the raw bytes of its parameter,
+// and padding left uninitialised would make the names differ between builds.
 struct Thm11Case {
-  int delta;
+  std::int64_t delta;
   std::uint64_t seed;
 };
+static_assert(sizeof(Thm11Case) == 2 * sizeof(std::uint64_t));
 
 class Thm11Sweep : public ::testing::TestWithParam<Thm11Case> {};
 
 TEST_P(Thm11Sweep, ProperDeltaColoringOnTrees) {
-  const auto [delta, seed] = GetParam();
+  const int delta = static_cast<int>(GetParam().delta);
+  const std::uint64_t seed = GetParam().seed;
   Rng rng(mix_seed(seed, static_cast<std::uint64_t>(delta)));
   for (NodeId n : {1, 2, 50, 500, 2000}) {
     const Graph g = make_random_tree(n, delta, rng);
