@@ -12,7 +12,7 @@ BUILD_DIR="${1:-build-asan}"
 TESTS=(test_roundelim_packed test_core_roundelim test_property_fuzz
   test_parse_hardening test_store_binary test_store_resume test_bfs_kernel
   test_obs_resource test_engine_packed test_obs_engine test_engine_parallel
-  test_util_thread_pool test_graph_regular test_serve
+  test_local_engine test_util_thread_pool test_graph_regular test_serve
   test_delta_coloring_packed)
 
 if command -v cmake >/dev/null && cmake --list-presets >/dev/null 2>&1; then

@@ -1,6 +1,7 @@
 #include "local/ids.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <unordered_set>
 
@@ -88,8 +89,15 @@ int id_bit_length(const std::vector<std::uint64_t>& ids) {
 }
 
 bool ids_unique(const std::vector<std::uint64_t>& ids) {
-  std::unordered_set<std::uint64_t> seen(ids.begin(), ids.end());
-  return seen.size() == ids.size();
+  // Strictly increasing IDs (sequential_ids, the usual DetLOCAL input) are
+  // distinct: one allocation-free pass. Anything else sorts a copy.
+  if (std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) ==
+      ids.end()) {
+    return true;
+  }
+  std::vector<std::uint64_t> sorted(ids);
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 }
 
 }  // namespace ckp

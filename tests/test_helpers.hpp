@@ -1,6 +1,8 @@
 // Shared fixtures and helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <string>
 #include <vector>
 
@@ -8,7 +10,31 @@
 #include "graph/graph.hpp"
 #include "graph/regular.hpp"
 #include "graph/trees.hpp"
+#include "obs/resource.hpp"
 #include "util/rng.hpp"
+
+// TSan's runtime intercepts the operator new/delete family ahead of our
+// replacement functions, so the counters sit idle in TSan builds (ASan only
+// intercepts malloc/free *beneath* our wrappers, which keeps them live).
+// Counter-dependent tests skip themselves there; in plain builds an idle
+// counter means the binary failed to link obs/resource.cpp and must FAIL.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define CKP_SANITIZER_MAY_OWN_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define CKP_SANITIZER_MAY_OWN_ALLOCATOR 1
+#endif
+#endif
+#ifndef CKP_SANITIZER_MAY_OWN_ALLOCATOR
+#define CKP_SANITIZER_MAY_OWN_ALLOCATOR 0
+#endif
+
+#define CKP_SKIP_IF_COUNTERS_IDLE()                                       \
+  do {                                                                    \
+    if (CKP_SANITIZER_MAY_OWN_ALLOCATOR && !alloc_counting_active())      \
+      GTEST_SKIP() << "sanitizer runtime owns operator new; allocation "  \
+                      "counters are idle in this build";                  \
+  } while (0)
 
 namespace ckp::testing {
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "graph/trees.hpp"
 #include "local/context.hpp"
@@ -7,7 +13,10 @@
 #include "local/ids.hpp"
 #include "local/trace.hpp"
 #include "local/view_engine.hpp"
+#include "obs/resource.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace ckp {
 namespace {
@@ -48,6 +57,60 @@ TEST(Ids, BitLength) {
   EXPECT_EQ(id_bit_length({0, 1, 2, 3}), 2);
   EXPECT_EQ(id_bit_length({1023}), 10);
   EXPECT_EQ(id_bit_length({1024}), 11);
+}
+
+// ids_unique takes a strictly-increasing fast path and sorts a copy
+// otherwise; both must agree with a std::set oracle on every input shape.
+TEST(Ids, UniqueMatchesSetOracle) {
+  using Ids = std::vector<std::uint64_t>;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  auto oracle = [](const Ids& ids) {
+    return std::set<std::uint64_t>(ids.begin(), ids.end()).size() ==
+           ids.size();
+  };
+  const std::vector<Ids> cases = {
+      {},                          // empty
+      {42},                        // single
+      {0, 1, 5, 9, 1000},          // strictly increasing
+      {9, 7, 4, 2, 0},             // descending
+      {3, 0, 8, 1, 6},             // unsorted unique
+      {1, 2, 2, 3},                // adjacent duplicate
+      {5, 1, 9, 1, 7},             // non-adjacent duplicate
+      {0, 1, 2, 3, 0},             // duplicate of the first at the end
+      {4, 4, 4, 4},                // all equal
+      {kMax - 2, kMax - 1, kMax},  // increasing up to UINT64_MAX
+      {kMax, 0, kMax - 1},         // unsorted around UINT64_MAX
+      {0, kMax, kMax},             // duplicate UINT64_MAX
+  };
+  for (const Ids& ids : cases) {
+    EXPECT_EQ(ids_unique(ids), oracle(ids)) << ::testing::PrintToString(ids);
+  }
+
+  // Random vectors over a small value range, so roughly half of them carry
+  // a duplicate; every third one is sorted to exercise the fast path.
+  Rng rng(0x1D5);
+  int with_duplicates = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Ids ids(rng.next_below(40));
+    for (auto& id : ids) id = rng.next_below(200);
+    if (trial % 3 == 0) std::sort(ids.begin(), ids.end());
+    const bool expected = oracle(ids);
+    with_duplicates += expected ? 0 : 1;
+    ASSERT_EQ(ids_unique(ids), expected) << ::testing::PrintToString(ids);
+  }
+  EXPECT_GT(with_duplicates, 30);
+  EXPECT_LT(with_duplicates, 270);
+}
+
+// Sequential IDs, the input every DetLOCAL bench validates, never leave the
+// allocation-free fast path.
+TEST(Ids, UniqueOnSequentialIdsAllocatesNothing) {
+  CKP_SKIP_IF_COUNTERS_IDLE();
+  const auto ids = sequential_ids(1 << 16);
+  AssertNoAlloc guard("ids_unique(sequential_ids)");
+  const bool unique = ids_unique(ids);
+  guard.check();
+  EXPECT_TRUE(unique);
 }
 
 TEST(LocalInput, ValidationCatchesErrors) {

@@ -21,32 +21,10 @@
 #include "obs/progress.hpp"
 #include "obs/resource.hpp"
 #include "obs/run_record.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
-
-// TSan's runtime intercepts the operator new/delete family ahead of our
-// replacement functions, so the counters sit idle in TSan builds (ASan only
-// intercepts malloc/free *beneath* our wrappers, which keeps them live).
-// Counter-dependent tests skip themselves there; in plain builds an idle
-// counter means the binary failed to link obs/resource.cpp and must FAIL.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define CKP_SANITIZER_MAY_OWN_ALLOCATOR 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define CKP_SANITIZER_MAY_OWN_ALLOCATOR 1
-#endif
-#endif
-#ifndef CKP_SANITIZER_MAY_OWN_ALLOCATOR
-#define CKP_SANITIZER_MAY_OWN_ALLOCATOR 0
-#endif
-
-#define CKP_SKIP_IF_COUNTERS_IDLE()                                       \
-  do {                                                                    \
-    if (CKP_SANITIZER_MAY_OWN_ALLOCATOR && !alloc_counting_active())      \
-      GTEST_SKIP() << "sanitizer runtime owns operator new; allocation "  \
-                      "counters are idle in this build";                  \
-  } while (0)
 
 namespace ckp {
 namespace {
