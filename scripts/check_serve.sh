@@ -4,7 +4,7 @@
 # tests can only approximate in-process:
 #
 #   1. mixed batch — ≥3 distinct algorithms complete concurrently on the
-#      shared pool, plus one deadline-exceeding spin job that must be
+#      server's workers, plus one deadline-exceeding spin job that must be
 #      cancelled at a round barrier (cancelled=true, stop=deadline).
 #   2. crash safety — SIGKILL the server mid-batch, restart it on the same
 #      store; the store is uncorrupted (every artifact either absent or
@@ -15,9 +15,11 @@
 #      RunRecord lines are byte-identical to the first run's.
 #
 # A socket-mode leg drives the same protocol through ckp_serve_client over
-# an AF_UNIX socket, and a final leg runs TWO clients concurrently against
+# an AF_UNIX socket, and the next leg runs TWO clients concurrently against
 # one server process: both finish, and each client receives exactly its own
-# jobs' responses (the shared-JobServer client routing, end to end).
+# jobs' responses (the shared-JobServer client routing, end to end). The
+# last leg sends a 2 MiB request line: the server answers it with one error,
+# skips it, and serves the next line.
 #
 #   scripts/check_serve.sh [BUILD_DIR]
 set -euo pipefail
@@ -39,7 +41,7 @@ COMPLETING_JOBS='{"op":"run","id":"m1","algo":"luby","graph":{"family":"random_r
 {"op":"run","id":"m2","algo":"greedy","graph":{"family":"cycle","n":4096},"seed":1}
 {"op":"run","id":"m3","algo":"plus_one","graph":{"family":"complete_tree","n":1093,"d":3},"seed":5}'
 
-echo "== 1/5 mixed batch with a deadline-exceeding job"
+echo "== 1/6 mixed batch with a deadline-exceeding job"
 {
   echo "$COMPLETING_JOBS"
   # spin never halts; only the 150ms deadline ends it — at a round barrier.
@@ -68,7 +70,7 @@ print(f"   4/4 jobs terminal; deadline job stopped at round "
       f"{dl['record']['rounds']}")
 EOF
 
-echo "== 2/5 SIGKILL mid-batch, restart on the same store"
+echo "== 2/6 SIGKILL mid-batch, restart on the same store"
 # Long-ish jobs so the kill lands mid-run; managed by PID (never pkill — a
 # pattern match can catch the invoking shell itself).
 {
@@ -100,7 +102,7 @@ for jid, d in done.items():
 print("   restart on killed store: 3/3 jobs verified, store readable")
 EOF
 
-echo "== 3/5 memo replay: byte-identical records, zero engine rounds"
+echo "== 3/6 memo replay: byte-identical records, zero engine rounds"
 {
   echo "$COMPLETING_JOBS"
   echo '{"op":"stats"}'
@@ -129,7 +131,7 @@ assert stats.get("serve.engine_rounds_total", 0) == 0, stats
 print("   3/3 memo hits, records byte-identical, engine_rounds_total=0")
 EOF
 
-echo "== 4/5 socket mode through ckp_serve_client"
+echo "== 4/6 socket mode through ckp_serve_client"
 SOCK="$WORK/serve.sock"
 "$SERVE" --workers=2 --store_dir="$WORK/store" --socket="$SOCK" \
   >"$WORK/sock_server.out" 2>&1 &
@@ -145,7 +147,7 @@ echo '{"op":"shutdown"}' | "$CLIENT" --socket="$SOCK" --quiet
 wait "$SRV"
 echo "   client batch served over AF_UNIX; clean shutdown"
 
-echo "== 5/5 two concurrent clients, one shared server"
+echo "== 5/6 two concurrent clients, one shared server"
 SOCK="$WORK/multi.sock"
 "$SERVE" --workers=4 --store_dir="$WORK/multi_store" --socket="$SOCK" \
   >"$WORK/multi_server.out" 2>&1 &
@@ -195,6 +197,29 @@ assert a_ids == {"a1", "a2"}, a_ids
 assert b_ids == {"b1", "b2"}, b_ids
 assert a_stats == 1 and b_stats == 1, (a_stats, b_stats)
 print("   2 concurrent clients: 4/4 jobs verified, zero cross-client leakage")
+EOF
+
+echo "== 6/6 oversized request line, then a valid job"
+# 2 MiB of 'x' with no newline inside, over the 1 MiB line cap; the newline
+# that ends it is followed by a valid run and a shutdown.
+python3 - >"$WORK/long.jsonl" <<'EOF'
+import sys
+sys.stdout.write("x" * (2 << 20) + "\n")
+print('{"op":"run","id":"after","algo":"luby","graph":{"family":"cycle","n":512},"seed":3}')
+print('{"op":"shutdown"}')
+EOF
+"$SERVE" --workers=2 <"$WORK/long.jsonl" >"$WORK/long.out"
+python3 - "$WORK/long.out" <<'EOF'
+import json, sys
+docs = [json.loads(line) for line in open(sys.argv[1])]
+assert "line longer than" in docs[0].get("error", ""), docs[0]
+assert sum("error" in d for d in docs) == 1, docs
+done = [d for d in docs if d.get("done")]
+assert len(done) == 1 and done[0]["id"] == "after", done
+assert done[0]["record"]["verified"], done[0]
+assert docs[-1].get("shutdown") is True, docs[-1]
+print("   oversized line answered with one error; next job verified; "
+      "clean shutdown")
 EOF
 
 echo "check_serve OK"

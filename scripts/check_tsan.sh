@@ -5,7 +5,9 @@
 # the parallel round engine, the trial fan-out, the pool itself, or the
 # round-elimination kernel's parallel fan-out (per-chunk buffers plus
 # thread_local scratch — both thread-invariance tests drive it at 2 and 8
-# threads) fails the script.
+# threads) fails the script. After the roster, the JobServer tests run ten
+# more times in a row, to shake out interleavings of the serve workers,
+# transport threads and drain.
 #
 #   scripts/check_tsan.sh [BUILD_DIR]
 set -euo pipefail
@@ -29,4 +31,7 @@ for t in "${TESTS[@]}"; do
   echo "== $t (TSan, CKP_THREADS=$CKP_THREADS)"
   "$BUILD_DIR/tests/$t" --gtest_brief=1
 done
+echo "== test_serve ServeServer.* x10 (TSan, CKP_THREADS=$CKP_THREADS)"
+"$BUILD_DIR/tests/test_serve" --gtest_brief=1 --gtest_filter='ServeServer.*' \
+  --gtest_repeat=10
 echo "TSan clean: ${TESTS[*]}"

@@ -8,7 +8,6 @@
 #include "obs/run_record.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ckp {
 
@@ -58,6 +57,10 @@ bool bool_field(const JsonValue& doc, const std::string& name, bool def) {
   return v->boolean;
 }
 
+// Decade buckets from 1µs to 100s for the queue-wait and run histograms.
+const std::vector<double> kSecondsBounds = {1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
+                                            1e-1, 1.0,  10.0, 100.0};
+
 std::string error_response(const std::string& id, const std::string& what) {
   JsonWriter w;
   w.begin_object();
@@ -102,17 +105,28 @@ JobServer::JobServer(ServerOptions options, TaggedSink sink)
                  opts_.heartbeat_sink, opts_.now) {
   CKP_CHECK_MSG(opts_.workers >= 1, "server needs workers >= 1");
   CKP_CHECK_MSG(opts_.queue_limit >= 1, "server needs queue_limit >= 1");
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  try {
+    for (int i = 0; i < opts_.workers; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop_workers();  // join those already started, or the program ends
+    throw;
+  }
 }
 
 JobServer::~JobServer() {
   drain();
+  stop_workers();
+}
+
+void JobServer::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 bool JobServer::handle_line(const std::string& line, std::uint64_t client) {
@@ -239,24 +253,25 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
       metrics_.add("serve.memo_misses");
     }
 
-    // Rejections are emitted after mu_ is released: the sink must never be
+    // Responses are emitted after mu_ is released: the sink must never be
     // invoked under mu_ (a sink that consults server state — counter(),
-    // stats — would otherwise close a lock cycle through sink_mu_).
+    // stats — would otherwise close a lock cycle through sink_mu_). The job
+    // takes its slot in active_ first and reaches the queue only after its
+    // "queued" line is out, so no worker can emit its terminal line ahead.
     std::string reject;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (active_.find(id) != active_.end()) {
+      if (active_.count({client, id}) != 0) {
         metrics_.add("serve.errors");
         reject = "job id already in flight";
-      } else if (static_cast<int>(queue_.size()) + in_flight_ >=
-                 opts_.queue_limit) {
+      } else if (static_cast<int>(active_.size()) >= opts_.queue_limit) {
         metrics_.add("serve.jobs_rejected");
         reject = "queue full (limit " + std::to_string(opts_.queue_limit) +
                  ")";
       } else {
         job->client = client;
-        active_[id] = job->budget.get();
-        queue_.push_back(std::move(job));
+        job->admitted = steady_now(opts_.now);
+        active_[{client, id}] = job->budget.get();
         metrics_.add("serve.jobs_admitted");
       }
     }
@@ -264,13 +279,17 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
       emit(error_response(id, reject), client);
       return;
     }
-    queue_cv_.notify_one();
     JsonWriter w;
     w.begin_object();
     w.key("id").value(id);
     w.key("queued").value(true);
     w.end_object();
     emit(w.str(), client);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_.push_back(std::move(job));
+    }
+    queue_cv_.notify_one();
   } catch (const CheckFailure& e) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -287,7 +306,7 @@ void JobServer::cancel(const JsonValue& doc, std::uint64_t client) {
     check_members(doc, {"op", "id"});
     id = doc.at("id").as_string();
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = active_.find(id);
+    const auto it = active_.find({client, id});
     if (it != active_.end()) {
       // Queued jobs trip the engine's pre-loop budget check (0 rounds);
       // running jobs stop at their next round barrier.
@@ -314,17 +333,18 @@ void JobServer::cancel(const JsonValue& doc, std::uint64_t client) {
 void JobServer::execute(Job& job) {
   Timer wall(opts_.now);
   std::string response;
-  bool cancelled = false;
+  bool failed = false;
   try {
     const BuiltGraph built = build_graph(job.graph);
     const LocalInput input = prepare_input(*job.algo, built, job.seed);
     EngineOptions eopts;
-    eopts.threads = opts_.engine_threads;
+    // With several workers the jobs share the cores, so rounds stay on one.
+    eopts.threads = opts_.workers == 1 ? opts_.engine_threads : 1;
     eopts.budget = job.budget.get();
     const AlgoRun run =
         job.algo->run(input, job.max_rounds, eopts, job.params);
     const BudgetStop stop = job.budget->stop_reason();
-    cancelled =
+    const bool cancelled =
         stop == BudgetStop::kCancelled || stop == BudgetStop::kDeadline;
 
     RunRecord rec;
@@ -361,62 +381,46 @@ void JobServer::execute(Job& job) {
       if (memoize) metrics_.add("serve.memo_stores");
       metrics_.add("serve.engine_rounds_total",
                    static_cast<double>(run.rounds));
-      active_.erase(job.id);
     }
     response = done_response(job.id, job.no_memo || !memo_.enabled()
                                          ? "off"
                                          : "miss",
                              cancelled, stop, record_json);
   } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      metrics_.add("serve.errors");
-      active_.erase(job.id);
-    }
+    failed = true;
     response = error_response(job.id, e.what());
+  }
+  {
+    // The job leaves the active set before its terminal line goes out, so a
+    // client that has read that line finds its slot and its id free.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (failed) metrics_.add("serve.errors");
+    metrics_.histogram("serve.run_s", kSecondsBounds).add(wall.seconds());
+    active_.erase({job.client, job.id});
   }
   emit(response, job.client);
   heartbeat_.step();
 }
 
-void JobServer::dispatch_loop() {
+void JobServer::worker_loop() {
   for (;;) {
-    std::vector<std::unique_ptr<Job>> batch;
+    std::unique_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ && drained
-      while (!queue_.empty()) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      in_flight_ = static_cast<int>(batch.size());
+      if (queue_.empty()) return;  // stopping_ and drained
+      job = std::move(queue_.front());
+      queue_.pop_front();
+      ++running_;
+      metrics_.histogram("serve.queue_wait_s", kSecondsBounds)
+          .add(std::chrono::duration<double>(steady_now(opts_.now) -
+                                             job->admitted)
+                   .count());
     }
-    const int workers =
-        std::min(opts_.workers, static_cast<int>(batch.size()));
-    if (workers <= 1) {
-      // Inline on the dispatcher: the one mode where a job's own engine
-      // rounds may still fan out (engine_threads > 1).
-      for (auto& job : batch) execute(*job);
-    } else {
-      // One job per chunk under work-stealing: whichever worker drains its
-      // job first claims the next, so a mix of 1 ms and 10 s jobs keeps
-      // every worker busy until the batch tail.
-      ThreadPool& pool = shared_pool(workers);
-      auto run_jobs = [&](std::int64_t begin, std::int64_t end,
-                          int chunk) {
-        (void)chunk;
-        for (std::int64_t i = begin; i < end; ++i) {
-          execute(*batch[static_cast<std::size_t>(i)]);
-        }
-      };
-      pool.parallel_for_dynamic(0, static_cast<std::int64_t>(batch.size()),
-                                workers, static_cast<int>(batch.size()),
-                                run_jobs);
-    }
+    execute(*job);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      in_flight_ = 0;
+      --running_;
     }
     idle_cv_.notify_all();
   }
@@ -424,7 +428,7 @@ void JobServer::dispatch_loop() {
 
 void JobServer::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
+  idle_cv_.wait(lock, [&] { return queue_.empty() && running_ == 0; });
 }
 
 double JobServer::counter(const std::string& name) const {

@@ -3,10 +3,11 @@
 // JobServer turns the repo's run-one-algorithm machinery into a service:
 // requests arrive as single-line JSON (from a stdin pipe or the Unix socket
 // in tools/ckp_serve.cpp), are validated and admitted into a bounded queue
-// on the transport thread, and a dispatcher thread fans each batch out
-// across the shared ThreadPool via work-stealing (one job per chunk, so
-// stragglers never idle the pool). Responses stream back through a caller-
-// supplied sink, one line per event, in completion order.
+// on the transport thread, and `workers` persistent worker threads each pop
+// one job at a time and run it to its terminal response. A worker that
+// finishes takes the next queued job at once, so a short job never waits
+// behind a long one while a worker is idle. Responses stream back through a
+// caller-supplied sink, one line per event, in completion order.
 //
 // Protocol (one JSON object per line; unknown fields are an error):
 //
@@ -21,8 +22,17 @@
 // A run job gets exactly one terminal response: {"id","error",...} on
 // rejection or failure, else {"id","done":true,"memo":...,"cancelled":...,
 // "stop":...,"record":<RunRecord JSON>}. Admission also emits a non-
-// terminal {"id","queued":true} so clients can distinguish "slow" from
-// "dropped". cancel and stats answer immediately on the transport thread.
+// terminal {"id","queued":true}, always ahead of the job's terminal line,
+// so clients can distinguish "slow" from "dropped". cancel and stats
+// answer immediately on the transport thread.
+// Job ids are scoped to the client tag: two clients may both run "long",
+// and a cancel reaches only the sender's own job; a client reusing an id
+// that is still queued or running gets an error.
+//
+// op=stats returns the MetricsRegistry: counters (serve.jobs_admitted,
+// serve.memo_hits, ...) and two histograms over executed jobs,
+// serve.queue_wait_s (admission to worker pop) and serve.run_s (worker pop
+// to terminal response). Memo hits never reach a worker and record neither.
 //
 // Budgets: deadline_ms (measured from *admission*, so queue wait counts
 // against the job), step_limit (cumulative node-steps), and op=cancel all
@@ -36,9 +46,11 @@
 // Threading: handle_line may be called from multiple transport threads
 // (one per client connection); an internal transport mutex serializes the
 // admission/response path, so per-client request order is preserved and
-// cross-client requests interleave at line granularity. Every response
+// cross-client requests interleave at line granularity. The workers are
+// plain threads owned by the server and the only scheduling layer: nothing
+// batches jobs between the queue and execute(). Every response
 // carries the client tag of the request that caused it, and the sink —
-// invoked under an internal mutex from transport threads and pool workers —
+// invoked under an internal mutex from transport threads and workers —
 // routes each line back to that client (the single-transport Sink overload
 // ignores the tag). MetricsRegistry is not thread-safe and is only touched
 // under mu_.
@@ -54,6 +66,8 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -65,17 +79,17 @@
 namespace ckp {
 
 struct ServerOptions {
-  // Max jobs executing concurrently (pool workers). 1 runs jobs inline on
-  // the dispatcher thread, which is the only mode where engine_threads > 1
-  // parallelizes rounds (inside a pool worker the engine degrades to 1
-  // thread by the no-nested-parallelism rule).
+  // Worker threads, each running one job at a time: the max number of jobs
+  // executing concurrently.
   int workers = 2;
-  // Bound on admitted-but-unfinished jobs; admissions beyond it are
-  // rejected with an error response (backpressure, not buffering).
+  // Bound on admitted-but-unfinished jobs (queued plus executing);
+  // admissions beyond it are rejected with an error response
+  // (backpressure, not buffering).
   int queue_limit = 64;
   // Directory for the result memo; empty disables memoization.
   std::string store_dir;
-  // EngineOptions::threads for each job's rounds (0 = engine default).
+  // EngineOptions::threads for each job's rounds when workers == 1 (0 =
+  // engine default); with more workers, rounds stay on the job's worker.
   int engine_threads = 0;
   // Heartbeat spacing for the serve.jobs ProgressMeter; <= 0 disables.
   double heartbeat_seconds = 0.0;
@@ -88,7 +102,7 @@ struct ServerOptions {
 class JobServer {
  public:
   // Receives each response line (no trailing newline). Called under the
-  // server's sink mutex, possibly from pool workers.
+  // server's sink mutex, possibly from worker threads.
   using Sink = std::function<void(const std::string& line)>;
   // Multi-client variant: `client` is the tag handle_line was called with
   // for the request this line answers — the transport routes it back to
@@ -98,7 +112,7 @@ class JobServer {
 
   JobServer(ServerOptions options, Sink sink);
   JobServer(ServerOptions options, TaggedSink sink);
-  // Drains admitted jobs, then stops the dispatcher.
+  // Drains admitted jobs, then stops and joins the workers.
   ~JobServer();
 
   JobServer(const JobServer&) = delete;
@@ -130,12 +144,15 @@ class JobServer {
     std::unique_ptr<RunBudget> budget;  // stable address for op=cancel
     MemoFacts facts;
     std::uint64_t client = 0;  // transport tag for response routing
+    SteadyTime admitted;       // start of serve.queue_wait_s
   };
+  using JobKey = std::pair<std::uint64_t, std::string>;  // (client, id)
 
   void admit(const JsonValue& doc, std::uint64_t client);
   void cancel(const JsonValue& doc, std::uint64_t client);
   void execute(Job& job);
-  void dispatch_loop();
+  void worker_loop();
+  void stop_workers();  // joins the workers once they have emptied the queue
   void emit(const std::string& line, std::uint64_t client);
   std::string stats_json();
 
@@ -146,17 +163,17 @@ class JobServer {
   ProgressMeter heartbeat_;
 
   mutable std::mutex mu_;  // queue, active set, metrics, lifecycle flags
-  std::condition_variable queue_cv_;  // wakes the dispatcher
+  std::condition_variable queue_cv_;  // wakes idle workers
   std::condition_variable idle_cv_;   // wakes drain()
   std::deque<std::unique_ptr<Job>> queue_;
-  std::map<std::string, RunBudget*> active_;  // admitted, not yet terminal
+  std::map<JobKey, RunBudget*> active_;  // queued + executing jobs
   MetricsRegistry metrics_;
-  int in_flight_ = 0;     // jobs in the dispatcher's current batch
+  int running_ = 0;  // popped by a worker, execute() not yet returned
   bool stopping_ = false;
 
   std::mutex transport_mu_;  // serializes concurrent handle_line callers
   std::mutex sink_mu_;       // serializes sink invocations
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ckp

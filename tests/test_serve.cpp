@@ -15,11 +15,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
 #include <unistd.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "local/budget.hpp"
@@ -32,6 +34,7 @@
 #include "store/artifact_store.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ckp {
 namespace {
@@ -348,14 +351,34 @@ TEST(ServeMemo, RoundTripAndCorruptionIsMiss) {
 // --------------------------------------------------------------------------
 // JobServer end to end (in process)
 
+bool is_done(const JsonValue& doc) { return doc.find("done") != nullptr; }
+
+bool is_terminal(const JsonValue& doc) {
+  return is_done(doc) || doc.find("error") != nullptr;
+}
+
 struct LineLog {
   std::mutex mu;
+  std::condition_variable cv;  // signalled on every appended line
   std::vector<std::string> lines;
+  std::vector<std::uint64_t> clients;  // clients[i]: the tag of lines[i]
 
-  JobServer::Sink sink() {
-    return [this](const std::string& line) {
+  void record(const std::string& line, std::uint64_t client) {
+    {
       std::lock_guard<std::mutex> lock(mu);
       lines.push_back(line);
+      clients.push_back(client);
+    }
+    cv.notify_all();
+  }
+
+  JobServer::Sink sink() {
+    return [this](const std::string& line) { record(line, 0); };
+  }
+
+  JobServer::TaggedSink tagged_sink() {
+    return [this](const std::string& line, std::uint64_t client) {
+      record(line, client);
     };
   }
 
@@ -374,12 +397,42 @@ struct LineLog {
   // The terminal (done/error) response for `id`; fails the test if absent.
   JsonValue terminal_for(const std::string& id) {
     for (const JsonValue& doc : responses_for(id)) {
-      if (doc.find("done") != nullptr || doc.find("error") != nullptr) {
-        return doc;
-      }
+      if (is_terminal(doc)) return doc;
     }
     ADD_FAILURE() << "no terminal response for " << id;
     return JsonValue{};
+  }
+
+  // Index into `lines` of the first response for `id` routed to `client`
+  // that satisfies `pred`, or -1. Caller holds mu.
+  template <typename Pred>
+  int find_locked(const std::string& id, std::uint64_t client, Pred pred) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (clients[i] != client) continue;
+      const JsonValue doc = json_parse(lines[i]);
+      const JsonValue* jid = doc.find("id");
+      if (jid != nullptr && jid->string == id && pred(doc)) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+
+  // Blocks until `client` holds a response for `id` satisfying `pred`, and
+  // returns its index into `lines`.
+  template <typename Pred>
+  int wait_for(const std::string& id, std::uint64_t client, Pred pred) {
+    std::unique_lock<std::mutex> lock(mu);
+    int at = -1;
+    cv.wait(lock, [&] { return (at = find_locked(id, client, pred)) >= 0; });
+    return at;
+  }
+
+  // True when `client` holds a response for `id` satisfying `pred`.
+  template <typename Pred>
+  bool has(const std::string& id, std::uint64_t client, Pred pred) {
+    std::lock_guard<std::mutex> lock(mu);
+    return find_locked(id, client, pred) >= 0;
   }
 };
 
@@ -668,6 +721,222 @@ TEST(ServeServer, ShutdownDrainsAndAnswers) {
   ASSERT_NE(log.terminal_for("z").find("done"), nullptr);
   std::lock_guard<std::mutex> lock(log.mu);
   EXPECT_NE(log.lines.back().find("\"shutdown\":true"), std::string::npos);
+}
+
+// A spin job that runs ~3 s in an optimized build: still running long after
+// the short jobs beside it finish, yet bounded so that a server that makes
+// the short jobs wait behind it fails the test instead of hanging it.
+const std::string kLongSpin = ",\"max_rounds\":500000";
+
+// The real steady clock, counting its reads. A job with a deadline reads it
+// at every round barrier, so a growing count shows the job running rounds.
+std::atomic<std::int64_t> g_clock_reads{0};
+SteadyTime counting_now() {
+  g_clock_reads.fetch_add(1);
+  return SteadyClock::now();
+}
+
+// Admits the long spin job `id` on a server built with now = counting_now
+// and returns once it has run about 1000 rounds. Its deadline is ~11 days
+// away: it exists only to make the budget read the clock.
+void start_long_spin(JobServer& server, const std::string& id) {
+  const std::int64_t before = g_clock_reads.load();
+  server.handle_line(run_job_line(
+      id, "spin", kLongSpin + ",\"deadline_ms\":1000000000"));
+  while (g_clock_reads.load() < before + 1000) std::this_thread::yield();
+}
+
+TEST(ServeServer, ShortJobOvertakesLongOne) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 2;
+  options.now = &counting_now;
+  JobServer server(options, log.sink());
+
+  start_long_spin(server, "spin");
+  server.handle_line(run_job_line("short", "luby"));
+  const int short_at = log.wait_for("short", 0, is_terminal);
+  server.handle_line("{\"op\":\"cancel\",\"id\":\"spin\"}");
+  const int spin_at = log.wait_for("spin", 0, is_terminal);
+  // The idle worker took the short job at once: it ended while spin ran.
+  EXPECT_LT(short_at, spin_at);
+
+  const JsonValue short_done = log.terminal_for("short");
+  ASSERT_TRUE(is_done(short_done));
+  EXPECT_TRUE(short_done.at("record").at("verified").boolean);
+  const JsonValue spin_done = log.terminal_for("spin");
+  ASSERT_TRUE(is_done(spin_done));
+  EXPECT_TRUE(spin_done.at("cancelled").boolean);
+  EXPECT_EQ(spin_done.at("stop").as_string(), "cancelled");
+}
+
+TEST(ServeServer, FinishedJobFreesItsQueueSlot) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 2;
+  options.queue_limit = 2;
+  options.now = &counting_now;
+  JobServer server(options, log.sink());
+
+  start_long_spin(server, "spin");
+  server.handle_line(run_job_line("short", "luby"));
+  log.wait_for("short", 0, is_terminal);
+  EXPECT_FALSE(log.has("spin", 0, is_terminal))
+      << "short job waited behind spin";
+
+  // One job is unfinished (spin), so limit 2 has room for one more.
+  server.handle_line(run_job_line("next", "luby", "", 8));
+  const std::vector<JsonValue> next = log.responses_for("next");
+  ASSERT_FALSE(next.empty());
+  EXPECT_NE(next.front().find("queued"), nullptr) << "next was rejected";
+
+  server.handle_line("{\"op\":\"cancel\",\"id\":\"spin\"}");
+  server.drain();
+  EXPECT_TRUE(log.terminal_for("spin").at("cancelled").boolean);
+  EXPECT_TRUE(is_done(log.terminal_for("next")));
+  EXPECT_EQ(server.counter("serve.jobs_rejected"), 0.0);
+}
+
+TEST(ServeServer, QueuedLinePrecedesTerminalLine) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 4;
+  JobServer server(options, log.sink());
+  constexpr int kJobs = 32;
+  for (int i = 0; i < kJobs; ++i) {
+    server.handle_line(
+        run_job_line("q" + std::to_string(i), "luby", "", 100 + i));
+  }
+  server.drain();
+  // An idle worker pops a job the moment it is queued, yet its terminal
+  // line never overtakes the job's "queued" acknowledgement.
+  for (int i = 0; i < kJobs; ++i) {
+    const std::vector<JsonValue> replies =
+        log.responses_for("q" + std::to_string(i));
+    ASSERT_EQ(replies.size(), 2u) << i;
+    EXPECT_NE(replies[0].find("queued"), nullptr) << i;
+    EXPECT_TRUE(is_done(replies[1])) << i;
+  }
+}
+
+TEST(ServeServer, EngineThreadsApplyOnlyWithOneWorker) {
+  // Runs one luby job with engine_threads=2 and returns the shared pool's
+  // job-count delta and the job's output digest.
+  auto run_one = [](int workers) {
+    LineLog log;
+    ServerOptions options;
+    options.workers = workers;
+    options.engine_threads = 2;
+    const std::uint64_t before = shared_pool_stats().jobs;
+    {
+      JobServer server(options, log.sink());
+      server.handle_line(run_job_line("t", "luby"));
+      server.drain();
+    }
+    const std::uint64_t pool_jobs = shared_pool_stats().jobs - before;
+    const JsonValue done = log.terminal_for("t");
+    EXPECT_TRUE(is_done(done)) << workers;
+    const JsonValue& metrics = done.at("record").at("metrics");
+    return std::make_pair(pool_jobs,
+                          std::make_pair(metrics.at("digest_hi").as_number(),
+                                         metrics.at("digest_lo").as_number()));
+  };
+  const auto [one_worker_jobs, one_worker_digest] = run_one(1);
+  const auto [two_worker_jobs, two_worker_digest] = run_one(2);
+  EXPECT_GT(one_worker_jobs, 0u) << "workers=1 ran rounds on one thread";
+  EXPECT_EQ(two_worker_jobs, 0u) << "workers=2 ran rounds on the pool";
+  EXPECT_EQ(one_worker_digest, two_worker_digest);
+}
+
+TEST(ServeServer, SameIdFromTwoClientsIsIndependent) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 2;
+  JobServer server(options, log.tagged_sink());
+  const std::string cancel_long = "{\"op\":\"cancel\",\"id\":\"long\"}";
+
+  server.handle_line(run_job_line("long", "spin", kLongSpin), 1);
+  server.handle_line(run_job_line("long", "spin", kLongSpin), 2);
+  // Admission answers synchronously, so both replies are already logged.
+  const auto queued = [](const JsonValue& doc) {
+    return doc.find("queued") != nullptr;
+  };
+  ASSERT_TRUE(log.has("long", 1, queued));
+  ASSERT_TRUE(log.has("long", 2, queued))
+      << "client 2's \"long\" was rejected";
+
+  // A duplicate id from the same client is still an error.
+  server.handle_line(run_job_line("long", "luby"), 1);
+  const int dup = log.wait_for("long", 1, [](const JsonValue& doc) {
+    return doc.find("error") != nullptr;
+  });
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    EXPECT_NE(log.lines[static_cast<std::size_t>(dup)].find(
+                  "job id already in flight"),
+              std::string::npos);
+  }
+
+  // Client 2's cancel stops client 2's job and only that one.
+  server.handle_line(cancel_long, 2);
+  log.wait_for("long", 2, is_done);
+  EXPECT_FALSE(log.has("long", 1, is_done))
+      << "client 2's cancel reached client 1's job";
+  server.handle_line(cancel_long, 1);
+  log.wait_for("long", 1, is_done);
+
+  for (const std::uint64_t client : {1, 2}) {
+    std::lock_guard<std::mutex> lock(log.mu);
+    const auto delivered = [](const JsonValue& doc) {
+      const JsonValue* d = doc.find("cancel_delivered");
+      return d != nullptr && d->boolean;
+    };
+    EXPECT_GE(log.find_locked("long", client, delivered), 0) << client;
+    const int at = log.find_locked("long", client, is_done);
+    ASSERT_GE(at, 0) << client;
+    const JsonValue done = json_parse(log.lines[static_cast<std::size_t>(at)]);
+    EXPECT_TRUE(done.at("cancelled").boolean) << client;
+    EXPECT_EQ(done.at("stop").as_string(), "cancelled") << client;
+  }
+  EXPECT_EQ(server.counter("serve.cancels_delivered"), 2.0);
+}
+
+TEST(ServeServer, QueueWaitAndRunHistogramsCountExecutedJobsOnly) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 2;
+  options.store_dir = temp_dir("histograms");
+  JobServer server(options, log.sink());
+
+  constexpr int kExecuted = 3;
+  constexpr int kHits = 2;
+  for (int i = 0; i < kExecuted; ++i) {
+    server.handle_line(
+        run_job_line("run" + std::to_string(i), "luby", "", 20 + i));
+  }
+  server.drain();
+  // Same facts under new ids: answered from the memo, never executed.
+  for (int i = 0; i < kHits; ++i) {
+    server.handle_line(
+        run_job_line("hit" + std::to_string(i), "luby", "", 20 + i));
+  }
+  server.drain();
+  EXPECT_EQ(server.counter("serve.memo_hits"), static_cast<double>(kHits));
+
+  server.handle_line("{\"op\":\"stats\"}");
+  JsonValue stats;
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    stats = json_parse(log.lines.back());
+  }
+  const JsonValue& histograms = stats.at("stats").at("histograms");
+  for (const char* name : {"serve.queue_wait_s", "serve.run_s"}) {
+    const JsonValue* h = histograms.find(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->at("count").as_number(), static_cast<double>(kExecuted))
+        << name;
+    EXPECT_GE(h->at("min").as_number(), 0.0) << name;
+  }
 }
 
 }  // namespace

@@ -11,17 +11,25 @@
 //     concurrent connections against ONE shared JobServer (shared queue,
 //     shared memo, shared workers). Each connection gets a reader thread;
 //     responses are routed back to the connection whose request earned them
-//     via the JobServer client tag. The server runs until any connection
-//     sends {"op":"shutdown"} (which drains every client's jobs first).
+//     via the JobServer client tag, and job ids are scoped to their
+//     connection. The server runs until any connection sends
+//     {"op":"shutdown"} (which drains every client's jobs first).
 //
 //       ckp_serve --socket=/tmp/ckp.sock --store_dir=STORE &
 //       ckp_serve_client --socket=/tmp/ckp.sock < jobs.jsonl
 //
-// Flags: --workers (concurrent jobs), --queue_limit, --engine_threads
-// (rounds parallelism per job; only effective with --workers=1),
-// --store_dir (result memo; empty disables), --heartbeat_every (seconds
-// between serve.jobs liveness lines on stderr; 0 = off).
+// Both transports read requests through one FdLineReader: a request line
+// longer than 1 MiB is answered with one {"error":...} line and skipped up
+// to its newline, and the stream keeps being served. Reads and writes
+// interrupted by a signal (EINTR) are retried.
+//
+// Flags: --workers (worker threads = concurrent jobs), --queue_limit
+// (queued plus running jobs), --engine_threads (rounds parallelism per job;
+// only effective with --workers=1), --store_dir (result memo; empty
+// disables), --heartbeat_every (seconds between serve.jobs liveness lines
+// on stderr; 0 = off).
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <iostream>
@@ -30,6 +38,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -39,34 +48,55 @@
 #include "serve/server.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace ckp;
 
-// Minimal line-buffered reader over a connection fd; handles lines split
-// across recv() boundaries.
+// Longest request line accepted, in bytes (newline excluded). A longer line
+// is answered with one error and dropped up to its newline, so a peer that
+// never sends a newline cannot make the reader buffer without bound.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+// Line reader over a file descriptor (stdin or a connection); handles lines
+// split across read() boundaries and retries reads interrupted by signals.
 class FdLineReader {
  public:
+  enum class Next { kLine, kTooLong, kEnd };
+
   explicit FdLineReader(int fd) : fd_(fd) {}
 
-  // True with the next full line in `out` (newline stripped); false on EOF
-  // or error. A final unterminated line is returned before EOF.
-  bool next(std::string* out) {
+  // kLine with the next line in `out` (newline stripped; a final
+  // unterminated line is returned before EOF). kTooLong once per line over
+  // kMaxLineBytes, whose bytes are then skipped up to its newline. kEnd on
+  // EOF or a read error.
+  Next next(std::string* out) {
+    std::size_t scanned = 0;  // buf_[0, scanned) holds no newline
     for (;;) {
-      const auto eol = buf_.find('\n');
+      const auto eol = buf_.find('\n', scanned);
       if (eol != std::string::npos) {
-        *out = buf_.substr(0, eol);
+        const bool skipped = std::exchange(skipping_, false);
+        const bool too_long = eol > kMaxLineBytes;
+        if (!skipped && !too_long) *out = buf_.substr(0, eol);
         buf_.erase(0, eol + 1);
-        return true;
+        scanned = 0;
+        if (skipped) continue;
+        return too_long ? Next::kTooLong : Next::kLine;
       }
+      if (skipping_ || buf_.size() > kMaxLineBytes) {
+        buf_.clear();
+        if (!std::exchange(skipping_, true)) return Next::kTooLong;
+      }
+      scanned = buf_.size();
       char chunk[4096];
       const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
+      if (got < 0 && errno == EINTR) continue;
       if (got <= 0) {
-        if (buf_.empty()) return false;
+        if (buf_.empty()) return Next::kEnd;
         *out = std::move(buf_);
         buf_.clear();
-        return true;
+        return Next::kLine;
       }
       buf_.append(chunk, static_cast<std::size_t>(got));
     }
@@ -75,45 +105,75 @@ class FdLineReader {
  private:
   int fd_;
   std::string buf_;
+  bool skipping_ = false;  // inside an oversized line
 };
 
-// Writes the whole buffer, tolerating short writes. Returns false when the
-// peer is gone (job results for a vanished client are dropped, not fatal —
-// SIGPIPE is ignored in main for the same reason).
+// Writes the whole buffer, tolerating short and interrupted writes. Returns
+// false when the peer is gone (job results for a vanished client are
+// dropped, not fatal — SIGPIPE is ignored in main for the same reason).
 bool write_all(int fd, const std::string& line) {
   std::string framed = line;
   framed += '\n';
   std::size_t off = 0;
   while (off < framed.size()) {
     const ssize_t put = ::write(fd, framed.data() + off, framed.size() - off);
+    if (put < 0 && errno == EINTR) continue;
     if (put <= 0) return false;
     off += static_cast<std::size_t>(put);
   }
   return true;
 }
 
-int run_pipe_mode(const ServerOptions& options) {
-  JobServer server(options, [](const std::string& line) {
-    std::cout << line << '\n' << std::flush;
-  });
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (!server.handle_line(line)) return 0;
-  }
-  // EOF drains like a shutdown so piped batches always get every terminal
-  // response before exit (the destructor drains too; this makes it
-  // explicit).
-  server.drain();
-  return 0;
-}
-
-// One accepted connection: the fd plus a write mutex so pool workers
-// finishing jobs for this client never interleave bytes with its reader
+// One output stream (stdout or an accepted connection): the fd plus a write
+// mutex, so workers finishing jobs never interleave bytes with the reader
 // thread's immediate responses.
 struct Conn {
   int fd = -1;
   std::mutex write_mu;
 };
+
+void send_line(Conn& conn, const std::string& line) {
+  std::lock_guard<std::mutex> lock(conn.write_mu);
+  write_all(conn.fd, line);
+}
+
+// Feeds the request lines read from `fd` to `server` under tag `client` and
+// answers an oversized line on `out` itself. Returns false once a line was
+// a shutdown request (after the server drained), true at EOF.
+bool serve_lines(JobServer& server, int fd, Conn& out, std::uint64_t client) {
+  FdLineReader reader(fd);
+  std::string line;
+  for (;;) {
+    switch (reader.next(&line)) {
+      case FdLineReader::Next::kEnd:
+        return true;
+      case FdLineReader::Next::kTooLong: {
+        JsonWriter w;
+        w.begin_object();
+        w.key("error").value("request line longer than " +
+                             std::to_string(kMaxLineBytes) + " bytes");
+        w.end_object();
+        send_line(out, w.str());
+        break;
+      }
+      case FdLineReader::Next::kLine:
+        if (!server.handle_line(line, client)) return false;
+        break;
+    }
+  }
+}
+
+int run_pipe_mode(const ServerOptions& options) {
+  Conn out;
+  out.fd = 1;  // stdout
+  JobServer server(options,
+                   [&out](const std::string& line) { send_line(out, line); });
+  // EOF drains like a shutdown so piped batches always get every terminal
+  // response before exit (the destructor drains too; this makes it
+  // explicit).
+  if (serve_lines(server, 0, out, 0)) server.drain();
+  return 0;
+}
 
 // Connection registry keyed by client tag. Lines for a client that already
 // disconnected are dropped (its jobs still run to completion; only the
@@ -171,15 +231,14 @@ int run_socket_mode(const ServerOptions& options, const std::string& path) {
 
   ConnTable conns;
   std::atomic<bool> running{true};
-  // One JobServer shared by every connection: one queue, one memo, one
-  // worker pool. The sink routes each response line to the connection whose
+  // One JobServer shared by every connection: one queue, one memo, one set
+  // of workers. The sink routes each response line to the connection whose
   // request earned it; a vanished client's lines are dropped.
   JobServer server(options, [&conns](const std::string& line,
                                      std::uint64_t client) {
-    const std::shared_ptr<Conn> conn = conns.find(client);
-    if (conn == nullptr) return;
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    write_all(conn->fd, line);
+    if (const std::shared_ptr<Conn> conn = conns.find(client)) {
+      send_line(*conn, line);
+    }
   });
 
   std::vector<std::thread> readers;
@@ -191,18 +250,14 @@ int run_socket_mode(const ServerOptions& options, const std::string& path) {
     }
     const std::uint64_t client = conns.add(fd);
     readers.emplace_back([&, fd, client] {
-      FdLineReader reader(fd);
-      std::string line;
-      while (reader.next(&line)) {
-        if (!server.handle_line(line, client)) {
-          // Shutdown already drained every client's jobs; close the
-          // listener and half-close all peers so the accept loop and the
-          // other readers unwind.
-          running.store(false);
-          ::shutdown(listener, SHUT_RDWR);
-          conns.shutdown_all();
-          break;
-        }
+      const std::shared_ptr<Conn> conn = conns.find(client);
+      if (!serve_lines(server, fd, *conn, client)) {
+        // Shutdown already drained every client's jobs; close the listener
+        // and half-close all peers so the accept loop and the other readers
+        // unwind.
+        running.store(false);
+        ::shutdown(listener, SHUT_RDWR);
+        conns.shutdown_all();
       }
       conns.remove(client);
       ::close(fd);
