@@ -9,9 +9,9 @@
 //   mis_luby_packed     RandLOCAL Luby, work-stealing schedule;
 //                       node·rounds/sec and engine bytes/node
 //   mis_ghaffari_local  RandLOCAL desire-level MIS with shattering residue
-//   matching_*_local    the handshake matchings: randomized (stateless
-//                       draws, no RNG streams) and deterministic (greedy by
-//                       edge priority, sequential ids)
+//   matching_*_local    the handshake matchings: randomized (per-edge
+//                       hash draws) and deterministic (greedy by edge
+//                       priority, sequential ids)
 //   plus_one_local      RandLOCAL (Δ+1) trial coloring
 //   greedy_color_local  DetLOCAL packed flagship, static schedule
 //   sinkless_local      RandLOCAL sinkless orientation taking the
@@ -24,9 +24,9 @@
 // everything), so single-algorithm investigations don't pay for the rest.
 //
 // Budget gates (--assert-budget): every packed algorithm's engine bytes/node
-// must stay within its budget, derived from --budget-bytes (the DetLOCAL
-// baseline, default 48): +32 for per-node RNG streams (RandLOCAL algorithms
-// that draw), +4·Δ for port-aligned edge labels. scripts/check_scale.sh
+// must stay within --budget-bytes (default 48), plus 4·Δ when it carries
+// port-aligned edge labels. Random draws are counter-based and cost no
+// bytes, so RandLOCAL and DetLOCAL share the budget. scripts/check_scale.sh
 // runs this gate in check_all.
 //
 // Every record carries peak_rss_bytes and pool_utilization (the pooled
@@ -85,9 +85,8 @@ int main(int argc, char** argv) {
   const auto enabled = [&](const char* a) {
     return std::find(algos.begin(), algos.end(), a) != algos.end();
   };
-  // Budget model: DetLOCAL baseline, +32 B/node of RNG streams for RandLOCAL
-  // algorithms that draw, +4·Δ B/node for port-aligned edge labels.
-  const double rng_budget = budget_bytes + 32.0;
+  // Budget model: one budget for every algorithm, +4·Δ B/node for
+  // port-aligned edge labels.
   const double label_budget_extra = 4.0 * d;
   const auto gate = [&](const char* name, std::uint64_t engine_bytes, NodeId n,
                         double budget) {
@@ -194,7 +193,7 @@ int main(int argc, char** argv) {
 
       if (enabled("luby")) {
         // Untimed warmup: the first engine run on a fresh heap pays the page
-        // faults for cur/nxt/rng/active; without it the timed run measures
+        // faults for cur/nxt/active; without it the timed run measures
         // the allocator, not the rounds.
         (void)mis_luby(in, 1 << 20, packed_opts);
         before = shared_pool_stats();
@@ -206,7 +205,7 @@ int main(int argc, char** argv) {
         luby_node_rounds_per_sec =
             static_cast<double>(n) * luby.rounds / luby_seconds;
         luby_bytes_per_node = gate("mis_luby", luby.engine_bytes, n,
-                                   rng_budget);
+                                   budget_bytes);
         RunRecord rec = engine_record("mis_luby_packed", in.seed, luby.rounds,
                                       luby_seconds, luby_bytes_per_node,
                                       before);
@@ -225,7 +224,7 @@ int main(int argc, char** argv) {
         CKP_CHECK(ghaffari.completed);
         CKP_CHECK(verify_mis(g, ghaffari.in_set).ok);
         ghaffari_bytes_per_node =
-            gate("mis_ghaffari_local", ghaffari.engine_bytes, n, rng_budget);
+            gate("mis_ghaffari_local", ghaffari.engine_bytes, n, budget_bytes);
         RunRecord rec =
             engine_record("mis_ghaffari_local", in.seed, ghaffari.rounds,
                           seconds, ghaffari_bytes_per_node, before);
@@ -263,7 +262,7 @@ int main(int argc, char** argv) {
         CKP_CHECK(coloring.completed);
         CKP_CHECK(verify_coloring(g, coloring.colors, d + 1).ok);
         plus_one_bytes_per_node =
-            gate("plus_one_local", coloring.engine_bytes, n, rng_budget);
+            gate("plus_one_local", coloring.engine_bytes, n, budget_bytes);
         reporter.add(engine_record("plus_one_local", in.seed, coloring.rounds,
                                    seconds, plus_one_bytes_per_node, before));
       }
@@ -277,7 +276,7 @@ int main(int argc, char** argv) {
         const double sink_seconds = sink_timer.seconds();
         const double sink_bytes_per_node =
             gate("sinkless_local", sink.engine_bytes, n,
-                 rng_budget + label_budget_extra);
+                 budget_bytes + label_budget_extra);
         RunRecord srec =
             engine_record("sinkless_local", in.seed, sink.rounds,
                           sink_seconds, sink_bytes_per_node, before);
@@ -297,7 +296,7 @@ int main(int argc, char** argv) {
         CKP_CHECK(r.completed);
         CKP_CHECK(verify_coloring(tree, r.colors, tree_delta).ok);
         thm10_bytes_per_node = gate("delta_coloring_thm10_local",
-                                    r.engine_bytes, n, rng_budget);
+                                    r.engine_bytes, n, budget_bytes);
         RunRecord rec =
             engine_record("delta_coloring_thm10_local", tin.seed, r.rounds,
                           seconds, thm10_bytes_per_node, before);
@@ -320,7 +319,7 @@ int main(int argc, char** argv) {
         CKP_CHECK(r.completed);
         CKP_CHECK(verify_coloring(tree, r.colors, tree_delta).ok);
         thm11_bytes_per_node = gate("delta_coloring_thm11_local",
-                                    r.engine_bytes, n, rng_budget);
+                                    r.engine_bytes, n, budget_bytes);
         RunRecord rec =
             engine_record("delta_coloring_thm11_local", tin.seed, r.rounds,
                           seconds, thm11_bytes_per_node, before);
@@ -395,7 +394,7 @@ int main(int argc, char** argv) {
   reporter.print(t, std::cout);
   std::cout << "\nExpected shape: generation and engine throughput flat in n "
                "(streaming + packed state);\nevery B/n column under its "
-               "budget (greedy/mdet " << budget_bytes << ", RNG algorithms +32, "
-               "label carriers +4Δ) (see EXPERIMENTS.md E18).\n";
+               "budget (" << budget_bytes << ", label carriers +4Δ) "
+               "(see EXPERIMENTS.md E18).\n";
   return 0;
 }

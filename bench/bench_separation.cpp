@@ -16,8 +16,10 @@
 // words on the parallel fast path. That drops the per-node footprint
 // enough to raise the default sweep ceiling from 2^20 to 2^22 (4× n).
 // Engine rounds count one communication round per engine round, so the
-// measured shape is the same; the RNG streams differ from the monolith
-// references, so packed runs are cached under their own store keys.
+// measured shape is the same; the random draws differ from the monolith
+// references, so packed runs are cached under their own store keys (the
+// "2" in E1P2 marks the ports' counter-based draws, whose records must not
+// resume into a sweep begun with the earlier per-node streams).
 #include <iostream>
 #include <optional>
 
@@ -109,7 +111,7 @@ int main(int argc, char** argv) {
       // a resumed run skips the committed ones.
       int seeds_cached = 0;
       auto trial_records = run_trials_checkpointed(
-          store_ptr, (packed ? "E1P." : "E1.") + instance_key, resume, seeds,
+          store_ptr, (packed ? "E1P2." : "E1.") + instance_key, resume, seeds,
           reporter.threads(),
           [&](int s) -> std::vector<RunRecord> {
             const auto seed = static_cast<std::uint64_t>(s) + 1;

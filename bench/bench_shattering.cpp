@@ -10,7 +10,8 @@
 // instead of the monolith references: same statistic definitions, packed
 // 8-byte node words, and a default sweep ceiling of 2^19 instead of 2^17
 // (the byte-lean path is what makes the larger trees feasible). Packed
-// trials cache under their own store keys (different RNG streams).
+// trials cache under their own store keys (different random draws; the "2"
+// in E4AP2/E4BP2 marks the ports' counter-based draws, as in E1P2).
 #include <iostream>
 #include <optional>
 
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
                 : make_complete_tree(n, delta);
         int seeds_cached = 0;
         auto trial_records = run_trials_checkpointed(
-            store_ptr, (packed ? "E4AP." : "E4A.") + instance_key, resume,
+            store_ptr, (packed ? "E4AP2." : "E4A.") + instance_key, resume,
             seeds, reporter.threads(), [&](int s) -> std::vector<RunRecord> {
               const auto seed = static_cast<std::uint64_t>(s) + 1;
               RunRecord rec = reporter.make_record();
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
                 : make_complete_tree(n, delta);
         int seeds_cached = 0;
         auto trial_records = run_trials_checkpointed(
-            store_ptr, (packed ? "E4BP." : "E4B.") + instance_key, resume,
+            store_ptr, (packed ? "E4BP2." : "E4B.") + instance_key, resume,
             seeds, reporter.threads(), [&](int s) -> std::vector<RunRecord> {
               const auto seed = static_cast<std::uint64_t>(s) + 1;
               RunRecord rec = reporter.make_record();

@@ -8,9 +8,8 @@
 #                           sinkless, and the Δ-coloring ports
 #                           delta_coloring_thm10/thm11_local on a separate
 #                           degree-16 complete tree) must stay within its
-#                           engine-side byte budget, derived from
-#                           CKP_BUDGET_BYTES (the DetLOCAL baseline, default
-#                           48 bytes/node): +32 for per-node RNG streams,
+#                           engine-side byte budget: CKP_BUDGET_BYTES
+#                           (default 48 bytes/node) for every algorithm,
 #                           +4·Δ for port-aligned edge labels;
 #   * peak-RSS ceiling    — the whole process (graph + generator + every
 #                           engine run) must finish under CKP_RSS_CEILING_MB

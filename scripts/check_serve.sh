@@ -17,9 +17,11 @@
 # A socket-mode leg drives the same protocol through ckp_serve_client over
 # an AF_UNIX socket, and the next leg runs TWO clients concurrently against
 # one server process: both finish, and each client receives exactly its own
-# jobs' responses (the shared-JobServer client routing, end to end). The
-# last leg sends a 2 MiB request line: the server answers it with one error,
-# skips it, and serves the next line.
+# jobs' responses (the shared-JobServer client routing, end to end). Leg 6
+# sends a 2 MiB request line: the server answers it with one error, skips
+# it, and serves the next line. The last leg opens and closes 50
+# connections one after another: the server joins each finished reader
+# thread, so its thread count and its mapped memory stay flat.
 #
 #   scripts/check_serve.sh [BUILD_DIR]
 set -euo pipefail
@@ -41,7 +43,7 @@ COMPLETING_JOBS='{"op":"run","id":"m1","algo":"luby","graph":{"family":"random_r
 {"op":"run","id":"m2","algo":"greedy","graph":{"family":"cycle","n":4096},"seed":1}
 {"op":"run","id":"m3","algo":"plus_one","graph":{"family":"complete_tree","n":1093,"d":3},"seed":5}'
 
-echo "== 1/6 mixed batch with a deadline-exceeding job"
+echo "== 1/7 mixed batch with a deadline-exceeding job"
 {
   echo "$COMPLETING_JOBS"
   # spin never halts; only the 150ms deadline ends it — at a round barrier.
@@ -70,7 +72,7 @@ print(f"   4/4 jobs terminal; deadline job stopped at round "
       f"{dl['record']['rounds']}")
 EOF
 
-echo "== 2/6 SIGKILL mid-batch, restart on the same store"
+echo "== 2/7 SIGKILL mid-batch, restart on the same store"
 # Long-ish jobs so the kill lands mid-run; managed by PID (never pkill — a
 # pattern match can catch the invoking shell itself).
 {
@@ -102,7 +104,7 @@ for jid, d in done.items():
 print("   restart on killed store: 3/3 jobs verified, store readable")
 EOF
 
-echo "== 3/6 memo replay: byte-identical records, zero engine rounds"
+echo "== 3/7 memo replay: byte-identical records, zero engine rounds"
 {
   echo "$COMPLETING_JOBS"
   echo '{"op":"stats"}'
@@ -131,7 +133,7 @@ assert stats.get("serve.engine_rounds_total", 0) == 0, stats
 print("   3/3 memo hits, records byte-identical, engine_rounds_total=0")
 EOF
 
-echo "== 4/6 socket mode through ckp_serve_client"
+echo "== 4/7 socket mode through ckp_serve_client"
 SOCK="$WORK/serve.sock"
 "$SERVE" --workers=2 --store_dir="$WORK/store" --socket="$SOCK" \
   >"$WORK/sock_server.out" 2>&1 &
@@ -147,7 +149,7 @@ echo '{"op":"shutdown"}' | "$CLIENT" --socket="$SOCK" --quiet
 wait "$SRV"
 echo "   client batch served over AF_UNIX; clean shutdown"
 
-echo "== 5/6 two concurrent clients, one shared server"
+echo "== 5/7 two concurrent clients, one shared server"
 SOCK="$WORK/multi.sock"
 "$SERVE" --workers=4 --store_dir="$WORK/multi_store" --socket="$SOCK" \
   >"$WORK/multi_server.out" 2>&1 &
@@ -199,7 +201,7 @@ assert a_stats == 1 and b_stats == 1, (a_stats, b_stats)
 print("   2 concurrent clients: 4/4 jobs verified, zero cross-client leakage")
 EOF
 
-echo "== 6/6 oversized request line, then a valid job"
+echo "== 6/7 oversized request line, then a valid job"
 # 2 MiB of 'x' with no newline inside, over the 1 MiB line cap; the newline
 # that ends it is followed by a valid run and a shutdown.
 python3 - >"$WORK/long.jsonl" <<'EOF'
@@ -221,5 +223,33 @@ assert docs[-1].get("shutdown") is True, docs[-1]
 print("   oversized line answered with one error; next job verified; "
       "clean shutdown")
 EOF
+
+echo "== 7/7 50 connections opened and closed one after another"
+SOCK="$WORK/reap.sock"
+"$SERVE" --workers=2 --socket="$SOCK" >"$WORK/reap_server.out" 2>&1 &
+SRV=$!
+for _ in $(seq 1 100); do
+  [[ -S "$SOCK" ]] && break
+  sleep 0.05
+done
+[[ -S "$SOCK" ]] || { echo "FAIL: server socket never appeared"; exit 1; }
+proc_status() { awk -v f="$1:" '$1 == f {print $2}' "/proc/$SRV/status"; }
+echo '{"op":"stats"}' | "$CLIENT" --socket="$SOCK" --quiet
+VM_FIRST="$(proc_status VmSize)"
+for _ in $(seq 2 50); do
+  echo '{"op":"stats"}' | "$CLIENT" --socket="$SOCK" --quiet
+done
+THREADS="$(proc_status Threads)"
+VM_LAST="$(proc_status VmSize)"
+echo '{"op":"shutdown"}' | "$CLIENT" --socket="$SOCK" --quiet
+wait "$SRV"
+# main + 2 workers + at most one reader not yet joined; an unjoined reader
+# keeps its whole stack mapped, so 49 of them would add hundreds of MiB.
+(( THREADS <= 2 + 3 )) || { echo "FAIL: $THREADS threads after 50 connections"; exit 1; }
+(( VM_LAST - VM_FIRST < 65536 )) || {
+  echo "FAIL: VmSize grew $(( (VM_LAST - VM_FIRST) / 1024 )) MiB over 49 connections"
+  exit 1
+}
+echo "   50 sequential connections: $THREADS threads, VmSize +$(( (VM_LAST - VM_FIRST) / 1024 )) MiB"
 
 echo "check_serve OK"

@@ -6,11 +6,11 @@
 //
 // These are engine-native *variants* of the retained `src/core/`
 // references, the same way `mis_ghaffari_local` relates to `mis_ghaffari`:
-// every decision is a function of the node's own word, its private RNG
-// stream, and neighbors' published words, so results are bit-identical
-// across threads × schedulers and to the naive reference engine the tests
-// run. They are NOT stream-identical to the `src/core/`
-// monoliths (those draw from different RNG epochs and use global
+// every decision is a function of the node's own word, its keyed draws,
+// and neighbors' published words, so results are bit-identical across
+// threads × schedulers and to the naive reference engine the tests run.
+// They are NOT draw-identical to the `src/core/` monoliths (those draw
+// from per-node RNG streams and use global
 // subroutines — induced subgraphs, retry-until-unique IDs — that no 8-byte
 // local machine can replicate); the differential tests check the semantic
 // contract instead: verified proper Δ-colorings, the same palette

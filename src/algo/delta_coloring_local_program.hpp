@@ -163,7 +163,7 @@ struct Thm10LocalAlgo {
       std::uint64_t bid = kT10NullBid;
       if (psi_count > 0) {
         auto k = static_cast<int>(
-            env.random().next_below(static_cast<std::uint64_t>(psi_count)));
+            env.draw_below(0, static_cast<std::uint64_t>(psi_count)));
         for (int i = 0; i < words; ++i) {
           const int pc = std::popcount(psi[i]);
           if (k >= pc) {
@@ -203,7 +203,7 @@ struct Thm10LocalAlgo {
         const std::uint64_t r = max_r + 1;
         CKP_CHECK_MSG(r <= kT10RMask, "thm10 rake depth overflow");
         self.word = (kT10BadRemoved << kT10StatusShift) | kT10BadBit |
-                    (r << kT10RShift) | (env.random()() & kT10TokenMask);
+                    (r << kT10RShift) | (env.draw(0) & kT10TokenMask);
       }
       return false;
     }
@@ -223,7 +223,7 @@ struct Thm10LocalAlgo {
         const std::uint64_t ntok = nw & kT10TokenMask;
         if (nr > my_r || (nr == my_r && ntok > my_token)) return false;
         if (nr == my_r && ntok == my_token) {
-          self.word = (w & ~kT10TokenMask) | (env.random()() & kT10TokenMask);
+          self.word = (w & ~kT10TokenMask) | (env.draw(0) & kT10TokenMask);
           return false;
         }
         continue;
@@ -382,7 +382,7 @@ struct Thm11LocalAlgo {
             return false;
           }
           self.word = (static_cast<std::uint64_t>(j + 1) << kT11JShift) |
-                      kT11RankValidBit | (env.random()() & kT11RankMask);
+                      kT11RankValidBit | (env.draw(0) & kT11RankMask);
           return false;
         }
         if (have_rank && strict_min) {
@@ -391,7 +391,7 @@ struct Thm11LocalAlgo {
           return true;
         }
         self.word = (static_cast<std::uint64_t>(j) << kT11JShift) |
-                    kT11RankValidBit | (env.random()() & kT11RankMask);
+                    kT11RankValidBit | (env.draw(0) & kT11RankMask);
         return false;
       }
 
@@ -441,7 +441,7 @@ struct Thm11LocalAlgo {
           const std::uint64_t r = max_r + 1;
           CKP_CHECK_MSG(r <= kT11RMask, "thm11 rake depth overflow");
           self.word = (kT11Removed << kT11StatusShift) | my_side |
-                      (r << kT11RShift) | (env.random()() & kT11TokenMask);
+                      (r << kT11RShift) | (env.draw(0) & kT11TokenMask);
         }
         return false;
       }
@@ -469,7 +469,7 @@ struct Thm11LocalAlgo {
               if (nr > my_r || (nr == my_r && ntok > my_token)) return false;
               if (nr == my_r && ntok == my_token) {
                 self.word =
-                    (w & ~kT11TokenMask) | (env.random()() & kT11TokenMask);
+                    (w & ~kT11TokenMask) | (env.draw(0) & kT11TokenMask);
                 return false;
               }
               continue;

@@ -12,9 +12,9 @@
 // statelessly — draw(e, t) = mix_seed(seed, label(e), t) — so both endpoints
 // of an edge compute the same value with no communication (the standard
 // "one endpoint draws on the edge's behalf" convention, collapsed to a
-// shared hash) and the engine allocates no per-node RNG streams at all
-// (needs_rng = false). Edge labels are the edge indices, synthesized
-// internally; the proposal field caps m at 2^26 edges.
+// shared hash) instead of the per-node NodeEnv::draw. Edge labels are the
+// edge indices, synthesized internally; the proposal field caps m at 2^26
+// edges.
 //
 // matching_deterministic_local is DetLOCAL: nodes publish their IDs and
 // greedily match the lexicographically smallest live incident edge

@@ -37,10 +37,8 @@ constexpr std::uint64_t kMrLabelMask = (1ULL << 26) - 1;
 constexpr std::uint64_t kMrIterMask = (1ULL << 20) - 1;
 
 struct MatchRandAlgo {
-  // Draws are stateless hashes of (seed, edge label, iteration); no
-  // per-node private streams needed.
-  static constexpr bool needs_rng = false;
-
+  // Draws are hashes of (seed, edge label, iteration), not NodeEnv::draw:
+  // both endpoints of an edge must compute the same value.
   struct State {
     std::uint64_t word = 0;
   };

@@ -23,10 +23,10 @@ namespace ckp::detail {
 //
 // Desire levels are dyadic: desire = 2^-(k+1), k in [0, kGhMaxDesireExp],
 // so "halve" is k+1, "double capped at 1/2" is max(k-1, 0), and a mark is
-// drawn with exactly one RNG call by testing the top k+1 bits of a 64-bit
-// draw for zero. The effective degree is summed in 2^31 fixed point
-// (desire contributes 1 << (30-k); exponents past 30 contribute nothing,
-// which only biases toward doubling desires that are already < 2^-31).
+// drawn with exactly one keyed draw by testing its top k+1 bits for zero.
+// The effective degree is summed in 2^31 fixed point (desire contributes
+// 1 << (30-k); exponents past 30 contribute nothing, which only biases
+// toward doubling desires that are already < 2^-31).
 // Everything is integer arithmetic, so results are bit-identical across
 // paths, thread counts, and schedulers.
 constexpr int kGhStatusShift = 62;
@@ -79,7 +79,7 @@ struct GhaffariLocalAlgo {
         if (p == my_prio) tied = true;
       }
       if (tied) {
-        self.word = kGhPhase2Bit | (env.random()() & kGhPrioMask);
+        self.word = kGhPhase2Bit | (env.draw(0) & kGhPrioMask);
         return false;
       }
       if (is_max) {
@@ -100,12 +100,12 @@ struct GhaffariLocalAlgo {
       if (it >= static_cast<std::uint64_t>(iterations)) {
         // Phase-1 budget exhausted: this node is residue. Draw a phase-2
         // priority and hand off.
-        self.word = kGhPhase2Bit | (env.random()() & kGhPrioMask);
+        self.word = kGhPhase2Bit | (env.draw(0) & kGhPrioMask);
         return false;
       }
       const std::uint64_t k = w & kGhDesireMask;
       const std::uint64_t marked =
-          (env.random()() >> (63 - k)) == 0 ? kGhMarkedBit : 0;
+          (env.draw(0) >> (63 - k)) == 0 ? kGhMarkedBit : 0;
       self.word = (it << kGhIterShift) | kGhValidBit | marked | k;
       return false;
     }

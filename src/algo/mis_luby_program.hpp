@@ -30,7 +30,7 @@ struct LubyAlgo {
 
   State init(const NodeEnv& env) {
     // First exchange happens in step(); draw now so round 1 can compare.
-    return {kValidBit | (env.random()() & kDrawMask)};
+    return {kValidBit | (env.draw(0) & kDrawMask)};
   }
 
   bool step(State& self, const NodeEnv& env,
@@ -63,7 +63,7 @@ struct LubyAlgo {
         return true;
       }
     }
-    self.word = kValidBit | (env.random()() & kDrawMask);
+    self.word = kValidBit | (env.draw(0) & kDrawMask);
     return false;
   }
 };

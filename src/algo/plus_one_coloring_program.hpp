@@ -21,9 +21,9 @@ namespace ckp::detail {
 // palette and draws a uniform candidate from what is left (never empty with
 // palette >= Δ+1: at most deg <= Δ colors are taken). Resolve round: the
 // candidate sticks unless a trying neighbor drew the same one (both sides
-// retry — the conflict test is symmetric, preserving lockstep). Exactly one
-// RNG call per try round, so results are bit-identical across engine
-// paths, thread counts, and schedulers.
+// retry — the conflict test is symmetric, preserving lockstep). One keyed
+// draw per try round, so results are bit-identical across thread counts
+// and schedulers.
 constexpr std::uint64_t kPoColorMask = 0x3F;
 constexpr std::uint64_t kPoDecidedBit = 1ULL << 6;
 constexpr std::uint64_t kPoTryingBit = 1ULL << 7;
@@ -51,8 +51,8 @@ struct PlusOneLocalAlgo {
       const std::uint64_t avail =
           (palette >= 64 ? ~0ULL : (1ULL << palette) - 1) & ~used;
       CKP_DCHECK(avail != 0);
-      const int pick = static_cast<int>(env.random().next_below(
-          static_cast<std::uint64_t>(std::popcount(avail))));
+      const int pick = static_cast<int>(env.draw_below(
+          0, static_cast<std::uint64_t>(std::popcount(avail))));
       // Select the pick-th set bit of the availability mask.
       std::uint64_t mask = avail;
       for (int i = 0; i < pick; ++i) mask &= mask - 1;

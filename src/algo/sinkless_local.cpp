@@ -15,9 +15,7 @@ SinklessLocalResult sinkless_local(const LocalInput& input, int max_rounds,
   const NodeId n = g.num_nodes();
   const EdgeId m = g.num_edges();
   CKP_CHECK_MSG(!input.has_ids(), "sinkless_local is RandLOCAL: ids forbidden");
-  CKP_CHECK_MSG(max_rounds >= 1 && max_rounds < (1 << 20),
-                "max_rounds " << max_rounds
-                              << " outside the 20-bit round counter");
+  CKP_CHECK_MSG(max_rounds >= 1, "max_rounds " << max_rounds << " < 1");
   CKP_CHECK_MSG(input.edge_labels.size() == static_cast<std::size_t>(m),
                 "sinkless_local needs a proper edge coloring in edge_labels");
   // Colors must fit the 8-bit field and be proper (no repeat at any node).

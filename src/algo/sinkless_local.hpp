@@ -60,9 +60,8 @@ struct SinklessLocalResult {
 
 // Runs the engine-native sinkless orientation. Requires RandLOCAL input
 // (no ids), min degree >= 2, and input.edge_labels holding a proper edge
-// coloring with colors in [0, 256). `max_rounds` < 2^20 - 1 (the state's
-// round counter is 20 bits). Verified on success via
-// verify_sinkless_orientation.
+// coloring with colors in [0, 256), and `max_rounds` >= 1. Verified on
+// success via verify_sinkless_orientation.
 SinklessLocalResult sinkless_local(const LocalInput& input,
                                    int max_rounds = 1 << 14,
                                    const EngineOptions& options = {});

@@ -12,17 +12,12 @@ namespace ckp::detail {
 
 // Single 64-bit word per node:
 //   [31:0]  payload — the claim's 32-bit coin while unsatisfied, the winning
-//           round ("generation") while satisfied;
+//           round ("generation", env.round) while satisfied;
 //   [39:32] the claimed / owned edge color;
-//   [59:40] the node's own round counter (all nodes start at 0 and step in
-//           lockstep, so this equals the engine round — it is how a node
-//           stamps generations without the engine exposing a round number);
 //   [60]    satisfied.
 constexpr std::uint64_t kSoPayloadMask = 0xFFFFFFFFULL;
 constexpr int kSoColorShift = 32;
 constexpr std::uint64_t kSoColorMask = 0xFF;
-constexpr int kSoRoundShift = 40;
-constexpr std::uint64_t kSoRoundMask = (1ULL << 20) - 1;
 constexpr std::uint64_t kSoSatBit = 1ULL << 60;
 
 inline std::uint64_t color_of(std::uint64_t w) {
@@ -37,7 +32,7 @@ struct SinklessAlgo {
   State init(const NodeEnv& env) {
     // One draw: high half picks the initial claim port uniformly, low half
     // is the claim's coin.
-    const std::uint64_t r = env.random()();
+    const std::uint64_t r = env.draw(0);
     const auto port = static_cast<std::size_t>(
         (r >> 32) % static_cast<std::uint64_t>(env.degree));
     const auto color =
@@ -48,7 +43,6 @@ struct SinklessAlgo {
   bool step(State& self, const NodeEnv& env,
             std::span<const State* const> nbrs) {
     const std::uint64_t w = self.word;
-    const std::uint64_t round = ((w >> kSoRoundShift) & kSoRoundMask) + 1;
     const std::span<const int> labels = env.incident_edge_labels;
     const std::uint64_t my_color = color_of(w);
 
@@ -69,12 +63,9 @@ struct SinklessAlgo {
       if (!stolen) {
         std::uint64_t all_sat = kSoSatBit;
         for (const State* nb : nbrs) all_sat &= nb->word;
-        if (all_sat != 0) return true;  // nobody left who could steal from me
-        self.word =
-            (w & ~(kSoRoundMask << kSoRoundShift)) | (round << kSoRoundShift);
-        return false;
+        return all_sat != 0;  // halt once nobody is left who could steal
       }
-      return reclaim(self, env, nbrs, round);
+      return reclaim(self, env, nbrs);
     }
 
     // Resolve my pending claim against the neighbor across it. I lose to an
@@ -88,11 +79,11 @@ struct SinklessAlgo {
              (across & kSoPayloadMask) >= (w & kSoPayloadMask);
     }
     if (!lose) {
-      self.word = kSoSatBit | (round << kSoRoundShift) |
-                  (my_color << kSoColorShift) | round;  // generation = round
+      self.word = kSoSatBit | (my_color << kSoColorShift) |
+                  static_cast<std::uint64_t>(env.round);  // generation
       return false;  // stay awake to watch for theft
     }
-    return reclaim(self, env, nbrs, round);
+    return reclaim(self, env, nbrs);
   }
 
  private:
@@ -101,10 +92,9 @@ struct SinklessAlgo {
   // deadlocked — all neighbors point at it — and steals a uniformly random
   // one instead.
   static bool reclaim(State& self, const NodeEnv& env,
-                      std::span<const State* const> nbrs,
-                      std::uint64_t round) {
+                      std::span<const State* const> nbrs) {
     const std::span<const int> labels = env.incident_edge_labels;
-    const std::uint64_t r = env.random()();
+    const std::uint64_t r = env.draw(0);
     const auto deg = static_cast<std::size_t>(env.degree);
     std::size_t claimable = 0;
     for (std::size_t k = 0; k < deg; ++k) {
@@ -118,8 +108,8 @@ struct SinklessAlgo {
       const auto steal = static_cast<std::size_t>(
           (r >> 32) % static_cast<std::uint64_t>(deg));
       const auto color = static_cast<std::uint64_t>(labels[steal]);
-      self.word = kSoSatBit | (round << kSoRoundShift) |
-                  (color << kSoColorShift) | round;
+      self.word = kSoSatBit | (color << kSoColorShift) |
+                  static_cast<std::uint64_t>(env.round);
       return false;
     }
     auto pick = static_cast<std::size_t>(
@@ -138,8 +128,7 @@ struct SinklessAlgo {
       --pick;
     }
     const auto color = static_cast<std::uint64_t>(labels[port]);
-    self.word = (round << kSoRoundShift) | (color << kSoColorShift) |
-                (r & kSoPayloadMask);
+    self.word = (color << kSoColorShift) | (r & kSoPayloadMask);
     return false;
   }
 };

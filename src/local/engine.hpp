@@ -4,9 +4,10 @@
 // compute); message size is unbounded, so without loss of generality every
 // node sends its entire state. The engine enforces locality *structurally*:
 // a node's transition function receives only its own state, its static local
-// environment (degree, declared global parameters, its ID if DetLOCAL, its
-// private random stream if RandLOCAL, its incident edge labels) and
-// port-ordered read-only views of its neighbors' previous-round states.
+// environment (degree, declared global parameters, its ID if DetLOCAL, the
+// seed and round number that key its random draws if RandLOCAL, its incident
+// edge labels) and port-ordered read-only views of its neighbors'
+// previous-round states.
 // There is no way for a well-typed algorithm to read remote state.
 //
 // An algorithm models one node's program:
@@ -26,12 +27,13 @@
 //
 // Parallel execution. Within a round, node steps are data-independent by
 // construction — step reads only previous-round states and writes only the
-// node's own next state, and per-node RNG streams are private — so the node
-// loop runs as a parallel_for over contiguous chunks of the active-node
+// node's own next state, and a random draw reads no state at all — so the
+// node loop runs as a parallel_for over contiguous chunks of the active-node
 // list. The round barrier coincides with LOCAL's message delivery, chunk
-// merge order is ascending node order, and every node consumes exactly its
-// own random stream, so results are bit-identical for every thread count
-// (see tests/test_engine_parallel.cpp). The one obligation this puts on
+// merge order is ascending node order, and every draw is a pure function of
+// its key (seed, node, round, draw#), never of which thread computes it or
+// when, so results are bit-identical for every thread count (see
+// tests/test_engine_parallel.cpp). The one obligation this puts on
 // algorithms: step must not mutate shared members of the algorithm object
 // (all in-repo algorithms keep their per-node data in State and are
 // stateless as objects).
@@ -70,11 +72,12 @@
 // local.setup_init_s 0.079 -> 0.066 s from the linear-time ids_unique
 // that landed with it (DESIGN.md §11).
 //
-// RNG opt-out. A RandLOCAL algorithm that derives its randomness statelessly
-// (hash draws from the seed, e.g. the randomized matching) declares
-// `static constexpr bool needs_rng = false`; the engine then skips the
-// 32 B/node private-stream allocation and env.random() fails loudly if the
-// algorithm lied.
+// Randomness. A RandLOCAL node's private random bits are counter-based:
+// env.draw(k) hashes (seed, node index, round, k), one hash per draw, so the
+// engine builds, stores and advances no per-node generator. Distinct keys
+// give independent-looking values, which is all the model asks of private
+// random bits; a node that needs several values in one round uses
+// k = 0, 1, .... A DetLOCAL node (one with an ID) fails loudly on any draw.
 #pragma once
 
 #include <algorithm>
@@ -108,14 +111,35 @@ struct NodeEnv {
   std::uint64_t declared_n = 0;
   int declared_delta = 0;
   std::uint64_t id = kNoId;  // kNoId in RandLOCAL
-  Rng* rng = nullptr;        // private stream; nullptr in DetLOCAL
+  std::uint64_t seed = 0;    // the run's seed (LocalInput::seed)
+  int round = 0;             // 0 in init, r in round r
   std::span<const int> incident_edge_labels;  // aligned with ports
 
   bool has_id() const { return id != kNoId; }
 
-  Rng& random() const {
-    CKP_CHECK_MSG(rng != nullptr, "deterministic node asked for randomness");
-    return *rng;
+  // Draw #k of this node in this round (RandLOCAL only). Each key word is
+  // XORed into the previous SplitMix64 output and finalized again, so
+  // distinct keys collide only by chance; mix_seed's additive absorption
+  // collides on short keys (mix_seed(0, 0, 1) == mix_seed(1, 2, 0)).
+  std::uint64_t draw(std::uint64_t k) const {
+    CKP_CHECK_MSG(!has_id(), "deterministic node asked for randomness");
+    std::uint64_t s = seed;
+    s = splitmix64(s) ^ ((static_cast<std::uint64_t>(index) << 32) |
+                         static_cast<std::uint32_t>(round));
+    s = splitmix64(s) ^ k;
+    return splitmix64(s);
+  }
+
+  // Uniform in [0, bound), bias-free by the rejection of Rng::next_below; a
+  // rejected value seeds the SplitMix64 sequence that continues the draw, so
+  // the result stays a pure function of the key. bound > 0.
+  std::uint64_t draw_below(std::uint64_t k, std::uint64_t bound) const {
+    CKP_CHECK(bound > 0);
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    const std::uint64_t limit = kMax - kMax % bound;
+    std::uint64_t x = draw(k);
+    for (std::uint64_t s = x; x >= limit;) x = splitmix64(s);
+    return x % bound;
   }
 };
 
@@ -147,10 +171,10 @@ struct EngineResult {
   // (the reason is recorded on the budget itself). `states` then holds the
   // last completed round — a consistent partial result, never a torn one.
   bool interrupted = false;
-  // Heap bytes the engine allocated for this run (state buffers, RNG
-  // streams, edge labels, active/halt bookkeeping). Exact — summed
-  // from container capacities, not sampled from RSS — so benches can report
-  // engine-side bytes/node deterministically.
+  // Heap bytes the engine allocated for this run (state buffers, edge
+  // labels, active/halt bookkeeping). Exact — summed from container
+  // capacities, not sampled from RSS — so benches can report engine-side
+  // bytes/node deterministically.
   std::uint64_t engine_bytes = 0;
 };
 
@@ -170,18 +194,6 @@ inline constexpr int kStealChunksPerThread = 8;
 // How many active-list positions ahead step_chunk prefetches neighbor
 // states; a constant, not an option (see the header comment).
 inline constexpr std::int64_t kPrefetchDistance = 8;
-
-// False for algorithms that declare `static constexpr bool needs_rng =
-// false` (stateless hash draws instead of private streams); the engine then
-// skips the per-node Rng allocation in RandLOCAL mode.
-template <typename A, typename = void>
-struct DeclaresNeedsRng : std::true_type {};
-template <typename A>
-struct DeclaresNeedsRng<A, std::void_t<decltype(A::needs_rng)>>
-    : std::bool_constant<static_cast<bool>(A::needs_rng)> {};
-
-template <typename A>
-inline constexpr bool needs_rng_v = DeclaresNeedsRng<A>::value;
 
 // Chunk count of one round: the static schedule always uses one chunk per
 // thread; stealing targets kStealChunksPerThread × threads but never more
@@ -258,19 +270,6 @@ EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
   const int max_chunks =
       stealing ? threads * kStealChunksPerThread : threads;
 
-  // Per-node private randomness. RandLOCAL is defined by the *absence* of
-  // IDs; the seed value is irrelevant to the mode, so a DetLOCAL input with
-  // a nonzero seed allocates no streams. Algorithms that opted out via
-  // needs_rng=false draw statelessly and get no streams either.
-  std::vector<Rng> rngs;
-  const bool randomized = !input.has_ids() && needs_rng_v<A>;
-  if (randomized) {
-    rngs.reserve(static_cast<std::size_t>(n));
-    for (NodeId v = 0; v < n; ++v) {
-      rngs.push_back(node_rng(input.seed, static_cast<std::uint64_t>(v)));
-    }
-  }
-
   // Incident edge labels flattened onto the graph's adjacency slots: the
   // label of port k of node v lives at the same index as adjacency entry k
   // of v, so a node's port-aligned label span is recovered from the offset
@@ -290,14 +289,17 @@ EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
   const std::uint64_t declared_n = input.effective_n();
   const int declared_delta = input.effective_delta();
   const bool has_ids = input.has_ids();
-  auto env_of = [&](NodeId v, std::span<const NodeId> nbrs) {
+  // RandLOCAL is defined by the *absence* of IDs, not by the seed: a
+  // DetLOCAL node carries the seed too but cannot draw (NodeEnv::draw).
+  auto env_of = [&](NodeId v, std::span<const NodeId> nbrs, int round) {
     NodeEnv env;
     env.index = v;
     env.degree = static_cast<int>(nbrs.size());
     env.declared_n = declared_n;
     env.declared_delta = declared_delta;
     env.id = has_ids ? input.id_of(v) : kNoId;
-    env.rng = randomized ? &rngs[static_cast<std::size_t>(v)] : nullptr;
+    env.seed = input.seed;
+    env.round = round;
     if (!labels_flat.empty()) {
       env.incident_edge_labels = std::span<const int>(
           labels_flat.data() + (nbrs.data() - adj_base), nbrs.size());
@@ -311,7 +313,7 @@ EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
   std::vector<State> buf_a;
   buf_a.reserve(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
-    buf_a.push_back(algo.init(env_of(v, g.neighbors(v))));
+    buf_a.push_back(algo.init(env_of(v, g.neighbors(v), 0)));
   }
   std::vector<State> buf_b(buf_a);
   State* cur = buf_a.data();  // latest completed round
@@ -338,10 +340,9 @@ EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
   ThreadPool* pool = threads > 1 ? &shared_pool(threads) : nullptr;
 
   result.engine_bytes = vec_bytes(buf_a) + vec_bytes(buf_b) +
-                        vec_bytes(rngs) + vec_bytes(labels_flat) +
-                        vec_bytes(done) + vec_bytes(active) +
-                        vec_bytes(halt_slab) + vec_bytes(halt_counts) +
-                        vec_bytes(nbr_scratch);
+                        vec_bytes(labels_flat) + vec_bytes(done) +
+                        vec_bytes(active) + vec_bytes(halt_slab) +
+                        vec_bytes(halt_counts) + vec_bytes(nbr_scratch);
 
   NodeId num_halted = 0;
   std::int64_t active_count = n;
@@ -361,10 +362,11 @@ EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
   while (!result.interrupted && num_halted < n && result.rounds < max_rounds) {
     [[maybe_unused]] Timer round_timer;
     const std::int64_t stepped = active_count;
+    const int round = result.rounds + 1;
     const int chunks =
         pool == nullptr ? 1 : round_chunk_count(stepped, threads, stealing);
     if constexpr (kObserved) {
-      obs->on_round_begin(result.rounds + 1);
+      obs->on_round_begin(round);
       chunk_seconds.assign(static_cast<std::size_t>(chunks), 0.0);
     }
     for (int c = 0; c < chunks; ++c) halt_counts[static_cast<std::size_t>(c)] = 0;
@@ -389,7 +391,7 @@ EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
         for (std::size_t k = 0; k < deg; ++k) row[k] = cur + nbrs[k];
         State& mine = nxt[v];
         mine = cur[v];
-        const NodeEnv env = env_of(v, nbrs);
+        const NodeEnv env = env_of(v, nbrs, round);
         done[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
             algo.step(mine, env, std::span<const State* const>(row, deg)));
       }
@@ -423,7 +425,7 @@ EngineResult<A> run_engine(const LocalInput& input, A& algo, int max_rounds,
       for (std::int32_t k = 0; k < cnt; ++k) {
         const NodeId v = halt_slab[static_cast<std::size_t>(lo + k)];
         cur[v] = nxt[v];
-        if constexpr (kObserved) obs->on_node_halt(v, result.rounds + 1);
+        if constexpr (kObserved) obs->on_node_halt(v, round);
       }
       halts_this_round += cnt;
     }

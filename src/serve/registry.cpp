@@ -1,7 +1,6 @@
 #include "serve/registry.hpp"
 #include "serve/spin_program.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
@@ -80,7 +79,7 @@ class LubyAlgo final : public Algorithm {
     static const std::string kName = "luby";
     return kName;
   }
-  int version() const override { return 1; }
+  int version() const override { return 2; }  // 2: keyed draws
   bool randomized() const override { return true; }
   bool needs_edge_labels() const override { return false; }
 
@@ -104,7 +103,7 @@ class GhaffariAlgo final : public Algorithm {
     static const std::string kName = "ghaffari";
     return kName;
   }
-  int version() const override { return 1; }
+  int version() const override { return 2; }  // 2: keyed draws
   bool randomized() const override { return true; }
   bool needs_edge_labels() const override { return false; }
 
@@ -176,7 +175,8 @@ class ColoringAlgo final : public Algorithm {
     static const std::string kDet = "greedy";
     return randomized_ ? kRand : kDet;
   }
-  int version() const override { return 1; }
+  // plus_one is at 2 since its draws became keyed; greedy never drew.
+  int version() const override { return randomized_ ? 2 : 1; }
   bool randomized() const override { return randomized_; }
   bool needs_edge_labels() const override { return false; }
 
@@ -218,19 +218,14 @@ class SinklessAlgo final : public Algorithm {
     static const std::string kName = "sinkless";
     return kName;
   }
-  int version() const override { return 1; }
+  int version() const override { return 2; }  // 2: keyed draws
   bool randomized() const override { return true; }
   bool needs_edge_labels() const override { return true; }
 
   AlgoRun run(const LocalInput& input, int max_rounds,
               const EngineOptions& options, const KV& params) const override {
     check_params(name(), params, {});
-    // The packed state's round counter is 20 bits, so the server's default
-    // cap (1 << 20) is clamped to the representable maximum. The memo key
-    // still carries the *requested* cap — the clamp is a deterministic
-    // function of it.
-    const int capped = std::min(max_rounds, (1 << 20) - 1);
-    const SinklessLocalResult r = sinkless_local(input, capped, options);
+    const SinklessLocalResult r = sinkless_local(input, max_rounds, options);
     AlgoRun out;
     out.rounds = r.rounds;
     out.completed = r.completed;
@@ -251,7 +246,7 @@ class Thm10Algo final : public Algorithm {
     static const std::string kName = "thm10";
     return kName;
   }
-  int version() const override { return 1; }
+  int version() const override { return 2; }  // 2: keyed draws
   bool randomized() const override { return true; }
   bool needs_edge_labels() const override { return false; }
 
@@ -293,7 +288,7 @@ class Thm11Algo final : public Algorithm {
     static const std::string kName = "thm11";
     return kName;
   }
-  int version() const override { return 1; }
+  int version() const override { return 2; }  // 2: keyed draws
   bool randomized() const override { return true; }
   bool needs_edge_labels() const override { return false; }
 

@@ -70,6 +70,16 @@ std::string error_response(const std::string& id, const std::string& what) {
   return w.str();
 }
 
+// A failed request's error line. A check failure sends only its message —
+// never the checked expression or the source path in what() — or a fixed
+// "malformed request" when the check carried no message.
+std::string error_response(const std::string& id, const std::exception& e) {
+  const auto* check = dynamic_cast<const CheckFailure*>(&e);
+  if (check == nullptr) return error_response(id, std::string(e.what()));
+  return error_response(id, check->message().empty() ? "malformed request"
+                                                     : check->message());
+}
+
 std::string done_response(const std::string& id, const char* memo,
                           bool cancelled, BudgetStop stop,
                           const std::string& record_json) {
@@ -146,7 +156,7 @@ bool JobServer::handle_line(const std::string& line, std::uint64_t client) {
       std::lock_guard<std::mutex> lock(mu_);
       metrics_.add("serve.errors");
     }
-    emit(error_response("", e.what()), client);
+    emit(error_response("", e), client);
     return true;
   }
   if (op == "run") {
@@ -295,7 +305,7 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
       std::lock_guard<std::mutex> lock(mu_);
       metrics_.add("serve.errors");
     }
-    emit(error_response(id, e.what()), client);
+    emit(error_response(id, e), client);
   }
 }
 
@@ -319,7 +329,7 @@ void JobServer::cancel(const JsonValue& doc, std::uint64_t client) {
       std::lock_guard<std::mutex> lock(mu_);
       metrics_.add("serve.errors");
     }
-    emit(error_response(id, e.what()), client);
+    emit(error_response(id, e), client);
     return;
   }
   JsonWriter w;
@@ -388,7 +398,7 @@ void JobServer::execute(Job& job) {
                              cancelled, stop, record_json);
   } catch (const std::exception& e) {
     failed = true;
-    response = error_response(job.id, e.what());
+    response = error_response(job.id, e);
   }
   {
     // The job leaves the active set before its terminal line goes out, so a

@@ -18,8 +18,6 @@ namespace ckp::detail {
 // round r always yields the same digest — which is what lets the
 // cancellation tests assert consistent (untorn) partial states.
 struct SpinNode {
-  static constexpr bool needs_rng = false;
-
   struct State {
     std::uint64_t word;
   };

@@ -9,14 +9,22 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ckp {
 
 // Thrown when a checked invariant fails. Carries the failing expression and
-// source location in what().
+// source location in what(), and the CKP_CHECK_MSG text alone in message()
+// (empty for a plain CKP_CHECK): the part a remote client may be shown.
 class CheckFailure : public std::logic_error {
  public:
-  explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
+  CheckFailure(const std::string& what, std::string message)
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -26,7 +34,7 @@ namespace detail {
   std::ostringstream os;
   os << "CKP_CHECK failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckFailure(os.str());
+  throw CheckFailure(os.str(), msg);
 }
 
 }  // namespace detail

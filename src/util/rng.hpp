@@ -1,10 +1,11 @@
 // Deterministic, splittable random number generation.
 //
-// RandLOCAL nodes hold private, independent random streams. To make whole
-// simulations reproducible from a single master seed, each node's stream is
-// derived as Xoshiro256** seeded by SplitMix64(master_seed, node_id, epoch).
-// SplitMix64 is the recommended seeder for the xoshiro family and guarantees
-// well-distributed, decorrelated starting states.
+// Array-style algorithms hold private, independent random streams (engine
+// node programs draw counter-based hashes instead: NodeEnv::draw). To make
+// whole simulations reproducible from a single master seed, each node's
+// stream is derived as Xoshiro256** seeded by SplitMix64(master_seed,
+// node_id, epoch). SplitMix64 is the recommended seeder for the xoshiro
+// family and guarantees well-distributed, decorrelated starting states.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,13 @@
 namespace ckp {
 
 // One step of the SplitMix64 sequence starting at `x`. Useful as a mixer.
-std::uint64_t splitmix64(std::uint64_t& state);
+// Inline: every NodeEnv::draw runs three.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 // Mixes several words into one seed via repeated SplitMix64 absorption.
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b = 0,

@@ -6,8 +6,8 @@
 // previous-round states and computes. There are no chunks, no active-list
 // compaction, no cached environments and no scratch rows: a node's NodeEnv
 // is rebuilt from the input at every use. The NodeEnv contract is the
-// engine's: IDs in DetLOCAL; private node_rng(seed, v) streams in RandLOCAL
-// unless the algorithm declares needs_rng = false; incident edge labels in
+// engine's: IDs in DetLOCAL (and no draws); the seed and the round number
+// (0 in init, r in round r) that key NodeEnv::draw; incident edge labels in
 // port order; declared n and Δ; and the max_rounds cap. run_local must
 // match it bit for bit at every thread count and scheduler.
 #pragma once
@@ -31,14 +31,9 @@ EngineResult<A> run_reference(const LocalInput& input, A& algo,
   input.validate();
   const Graph& g = *input.graph;
   const NodeId n = g.num_nodes();
-  const bool randomized = !input.has_ids() && detail::needs_rng_v<A>;
-  std::vector<Rng> rngs;
-  for (NodeId v = 0; randomized && v < n; ++v) {
-    rngs.push_back(node_rng(input.seed, static_cast<std::uint64_t>(v)));
-  }
 
   std::vector<int> labels;  // the port-ordered labels of the current node
-  auto env_of = [&](NodeId v) {
+  auto env_of = [&](NodeId v, int round) {
     labels.clear();
     if (!input.edge_labels.empty()) {
       for (EdgeId e : g.incident_edges(v)) {
@@ -51,13 +46,16 @@ EngineResult<A> run_reference(const LocalInput& input, A& algo,
     env.declared_n = input.effective_n();
     env.declared_delta = input.effective_delta();
     env.id = input.has_ids() ? input.id_of(v) : kNoId;
-    env.rng = randomized ? &rngs[static_cast<std::size_t>(v)] : nullptr;
+    env.seed = input.seed;
+    env.round = round;
     env.incident_edge_labels = labels;
     return env;
   };
 
   EngineResult<A> result;
-  for (NodeId v = 0; v < n; ++v) result.states.push_back(algo.init(env_of(v)));
+  for (NodeId v = 0; v < n; ++v) {
+    result.states.push_back(algo.init(env_of(v, 0)));
+  }
   std::vector<char> halted(static_cast<std::size_t>(n), 0);
   std::vector<const State*> nbrs;
   NodeId num_halted = 0;
@@ -69,7 +67,8 @@ EngineResult<A> run_reference(const LocalInput& input, A& algo,
       for (NodeId u : g.neighbors(v)) {
         nbrs.push_back(&result.states[static_cast<std::size_t>(u)]);
       }
-      if (algo.step(next[static_cast<std::size_t>(v)], env_of(v),
+      if (algo.step(next[static_cast<std::size_t>(v)],
+                    env_of(v, result.rounds + 1),
                     std::span<const State* const>(nbrs))) {
         halted[static_cast<std::size_t>(v)] = 1;
         ++num_halted;

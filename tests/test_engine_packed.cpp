@@ -74,9 +74,10 @@ struct SkewedMixer {
   }
 };
 
-// RandLOCAL variant: same skew, but lifetimes and mixing draws come from the
-// per-node private stream, so any scheduler-dependent interleaving of RNG
-// consumption shows up as a state diff.
+// RandLOCAL variant: same skew, but lifetimes and mixing values are keyed
+// draws (two per round, k = 0 and 1, and a bounded one in init) mixed with
+// the round number, so a draw keyed on the wrong node, round or index shows
+// up as a state diff.
 struct SkewedRandMixer {
   struct State {
     std::uint64_t acc = 0;
@@ -86,9 +87,9 @@ struct SkewedRandMixer {
   };
 
   State init(const NodeEnv& env) {
-    const std::uint64_t r = env.random()();
-    const std::uint32_t life =
-        (env.index % 89 == 0) ? 50 + r % 16 : 1 + r % 4;
+    const std::uint64_t r = env.draw(0);
+    const auto life = static_cast<std::uint32_t>(
+        (env.index % 89 == 0) ? 50 + r % 16 : 1 + env.draw_below(1, 4));
     return {r, life, 0};
   }
 
@@ -96,7 +97,8 @@ struct SkewedRandMixer {
             std::span<const State* const> nbrs) {
     std::uint64_t acc = self.acc;
     for (const State* nb : nbrs) acc ^= nb->acc * 0x9e3779b97f4a7c15ULL;
-    self.acc = acc + env.random()();
+    self.acc = acc + env.draw(0) +
+               (env.draw(1) ^ static_cast<std::uint64_t>(env.round));
     return --self.remaining == 0;
   }
 };
@@ -216,10 +218,8 @@ TEST(EnginePacked, RandSkewBitIdenticalAcrossThreadsAndSchedulers) {
   }
 }
 
-// RandLOCAL fixture that opts out of private streams (needs_rng = false).
-struct NoRngPacked {
-  static constexpr bool needs_rng = false;
-
+// RandLOCAL fixture that never draws.
+struct NoDrawPacked {
   struct State {
     std::uint64_t x = 0;
   };
@@ -236,12 +236,12 @@ struct NoRngPacked {
 
 // Every fixture against the reference engine, on completed and truncated
 // runs, at threads {1, 2, 8} x both schedulers. Together the fixtures read
-// every NodeEnv field: index (SkewedMixer, NoRngPacked), the private stream
-// (SkewedRandMixer), and ID, degree, declared n and Δ and edge labels
-// (LabelMixer); NoRngPacked runs RandLOCAL with needs_rng = false. The name
-// is kept from when the comparison ran against the forced generic loop, as
-// for the *PackedMatchesGeneric* cases below; the reference engine is that
-// full-copy loop.
+// every NodeEnv field: index (SkewedMixer, NoDrawPacked), the seed and
+// round through keyed draws (SkewedRandMixer), and ID, degree, declared n
+// and Δ and edge labels (LabelMixer); NoDrawPacked runs RandLOCAL without
+// drawing. The name is kept from when the comparison ran against the
+// forced generic loop, as for the *PackedMatchesGeneric* cases below; the
+// reference engine is that full-copy loop.
 TEST(EnginePacked, ForcedGenericMatchesPackedOnFixtures) {
   for (const Graph& g : fixture_graphs()) {
     for (const int max_rounds : {5, 200}) {
@@ -257,7 +257,7 @@ TEST(EnginePacked, ForcedGenericMatchesPackedOnFixtures) {
       testing::expect_matches_reference(
           rand, [] { return SkewedRandMixer{}; }, max_rounds);
       testing::expect_matches_reference(
-          rand, [] { return NoRngPacked{}; }, max_rounds);
+          rand, [] { return NoDrawPacked{}; }, max_rounds);
 
       LocalInput labeled = det;
       Rng rng(0x1AB);
@@ -632,68 +632,6 @@ TEST(EnginePacked, CompactByFlagInPlaceAliasing) {
       EXPECT_EQ(in_place, expected) << "count=" << count << " want=" << want;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// The needs_rng opt-out: an algorithm declaring needs_rng = false gets no
-// per-node streams (32 B/node cheaper in RandLOCAL mode) and a loud failure
-// if it draws anyway.
-
-struct LyingNoRngPacked {
-  static constexpr bool needs_rng = false;
-
-  struct State {
-    std::uint64_t x = 0;
-  };
-
-  State init(const NodeEnv&) { return {0}; }
-
-  bool step(State& self, const NodeEnv& env, std::span<const State* const>) {
-    self.x = env.random()();  // declared needs_rng = false: must throw
-    return true;
-  }
-};
-
-// Twin of NoRngPacked that keeps the default needs_rng = true: the engine
-// footprints of the two runs differ by exactly the per-node stream array.
-struct NoRngPackedWithStreams {
-  struct State {
-    std::uint64_t x = 0;
-  };
-
-  State init(const NodeEnv& env) {
-    return {static_cast<std::uint64_t>(env.index) + 1};
-  }
-
-  bool step(State& self, const NodeEnv&, std::span<const State* const> nbrs) {
-    for (const State* nb : nbrs) self.x += nb->x;
-    return self.x > 1000;
-  }
-};
-
-static_assert(detail::needs_rng_v<SkewedRandMixer>);  // default is true
-static_assert(!detail::needs_rng_v<NoRngPacked>);
-
-TEST(EnginePacked, NeedsRngOptOutSkipsStreamsAndFailsLoudlyOnDraws) {
-  const Graph g = make_cycle(128);
-  LocalInput in;  // RandLOCAL (no ids) — would normally allocate streams
-  in.graph = &g;
-  NoRngPacked lean_algo;
-  const auto lean = run_local(in, lean_algo, 100, nullptr, EngineOptions{});
-  EXPECT_TRUE(lean.all_halted);
-  NoRngPackedWithStreams full_algo;
-  const auto full = run_local(in, full_algo, 100, nullptr, EngineOptions{});
-  EXPECT_EQ(lean.rounds, full.rounds);
-  ASSERT_EQ(lean.states.size(), full.states.size());
-  for (std::size_t i = 0; i < lean.states.size(); ++i) {
-    EXPECT_EQ(lean.states[i].x, full.states[i].x);
-  }
-  EXPECT_EQ(full.engine_bytes,
-            lean.engine_bytes +
-                sizeof(Rng) * static_cast<std::uint64_t>(g.num_nodes()));
-  LyingNoRngPacked liar;
-  EXPECT_THROW(run_local(in, liar, 10, nullptr, EngineOptions{}),
-               CheckFailure);
 }
 
 // ---------------------------------------------------------------------------

@@ -52,10 +52,10 @@ struct MaxFlood {
   }
 };
 
-// RandLOCAL fixture: every round draws from the private stream and mixes
-// neighbor values; a node halts when its draw clears a rising threshold, so
-// the halt pattern is random and stream misuse (any cross-node interleaving
-// of RNG consumption) would change both states and halt rounds.
+// RandLOCAL fixture: every round takes a keyed draw and mixes neighbor
+// values; a node halts when its draw clears a rising threshold, so the halt
+// pattern is random and a draw keyed on the wrong node or round would change
+// both states and halt rounds.
 struct RandomDrift {
   struct State {
     std::uint64_t acc = 0;
@@ -63,13 +63,13 @@ struct RandomDrift {
     bool operator==(const State&) const = default;
   };
 
-  State init(const NodeEnv& env) { return {env.random()(), 0}; }
+  State init(const NodeEnv& env) { return {env.draw(0), 0}; }
 
   bool step(State& self, const NodeEnv& env,
             std::span<const State* const> nbrs) {
     std::uint64_t acc = self.acc;
     for (const State* nb : nbrs) acc ^= nb->acc * 0x9e3779b97f4a7c15ULL;
-    acc += env.random()();
+    acc += env.draw(0);
     self.acc = acc;
     ++self.round;
     // Halting probability rises with the round; all nodes stop by round ~64.

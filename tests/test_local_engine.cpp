@@ -214,23 +214,30 @@ TEST(Engine, RespectsMaxRounds) {
   EXPECT_EQ(result.rounds, 5);
 }
 
-// A randomized algorithm must see distinct per-node streams.
+// A randomized algorithm must see distinct per-node draws.
 struct DrawOnce {
   struct State {
     std::uint64_t value = 0;
   };
-  State init(const NodeEnv& env) { return {env.random()()}; }
+  State init(const NodeEnv& env) { return {env.draw(0)}; }
   bool step(State&, const NodeEnv&, std::span<const State* const>) {
     return true;
   }
 };
 
-// Records whether the engine handed the node a private random stream.
+// Records whether the node may draw (a DetLOCAL draw throws).
 struct RngProbe {
   struct State {
     bool had_rng = false;
   };
-  State init(const NodeEnv& env) { return {env.rng != nullptr}; }
+  State init(const NodeEnv& env) {
+    try {
+      (void)env.draw(0);
+      return {true};
+    } catch (const CheckFailure&) {
+      return {false};
+    }
+  }
   bool step(State&, const NodeEnv&, std::span<const State* const>) {
     return true;
   }
@@ -238,7 +245,8 @@ struct RngProbe {
 
 // Regression: RandLOCAL is defined by the absence of IDs, not by the seed.
 // The engine used to treat any input with a nonzero seed as randomized and
-// allocate n RNG streams a DetLOCAL algorithm could never legally use.
+// allocate n RNG streams a DetLOCAL algorithm could never legally use. Now
+// no mode allocates per-node randomness at all.
 TEST(Engine, DetInputWithNonzeroSeedGetsNoRngStreams) {
   const Graph g = make_path(6);
   LocalInput in;
@@ -249,6 +257,14 @@ TEST(Engine, DetInputWithNonzeroSeedGetsNoRngStreams) {
   const auto result = run_local(in, algo, 10);
   EXPECT_TRUE(result.all_halted);
   for (const auto& s : result.states) EXPECT_FALSE(s.had_rng);
+
+  // The same program costs the same engine bytes in RandLOCAL: randomness
+  // adds no per-node term.
+  LocalInput rand_in = in;
+  rand_in.ids.clear();
+  RngProbe rand_algo;
+  EXPECT_EQ(run_local(rand_in, rand_algo, 10).engine_bytes,
+            result.engine_bytes);
 
   // And asking for randomness in DetLOCAL still fails loudly.
   DrawOnce bad_algo;
@@ -275,12 +291,93 @@ TEST(Engine, RandomStreamsDifferAcrossNodes) {
   std::set<std::uint64_t> values;
   for (const auto& s : result.states) values.insert(s.value);
   EXPECT_EQ(values.size(), 6u);
-  // Re-running with the same seed reproduces the draws.
+  // Re-running with the same seed reproduces the draws, and each one is the
+  // draw a hand-built environment with the same key computes.
   DrawOnce algo2;
   const auto rerun = run_local(in, algo2, 10);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(result.states[i].value, rerun.states[i].value);
+    NodeEnv env;
+    env.index = static_cast<NodeId>(i);
+    env.seed = 77;
+    EXPECT_EQ(result.states[i].value, env.draw(0));
   }
+}
+
+// NodeEnv::draw is a pure function of (seed, index, round, k), and distinct
+// keys give distinct values, also across consecutive seeds (mix_seed keyed
+// the same way collides there: seed 0 round 0 draw 1 equals seed 1 round 2
+// draw 0).
+TEST(Engine, DrawIsAPureFunctionOfItsKey) {
+  std::set<std::uint64_t> values;
+  std::size_t keys = 0;
+  for (const std::uint64_t seed : {0ULL, 1ULL, 2ULL, 3ULL, 0x5EEDULL}) {
+    for (NodeId v = 0; v < 64; ++v) {
+      for (int round = 0; round <= 7; ++round) {
+        for (std::uint64_t k = 0; k <= 3; ++k) {
+          NodeEnv env;
+          env.index = v;
+          env.seed = seed;
+          env.round = round;
+          const std::uint64_t x = env.draw(k);
+          NodeEnv twin;  // same key, otherwise unrelated fields
+          twin.index = v;
+          twin.seed = seed;
+          twin.round = round;
+          twin.degree = 9;
+          twin.declared_n = 1000;
+          EXPECT_EQ(twin.draw(k), x);
+          values.insert(x);
+          ++keys;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(values.size(), keys);
+}
+
+// draw_below stays in [0, bound), including a bound just over 2^63 where
+// about half of all raw draws are rejected, and is uniform at a small bound
+// (coarse χ² test: 5 degrees of freedom, 20.5 is the 0.1% critical value).
+TEST(Engine, DrawBelowStaysInRangeAndIsUniform) {
+  constexpr std::uint64_t kBins = 6;
+  std::vector<double> counts(kBins, 0.0);
+  const std::uint64_t huge = (1ULL << 63) + 1;
+  int draws = 0;
+  for (NodeId v = 0; v < 1000; ++v) {
+    for (int round = 0; round < 10; ++round) {
+      NodeEnv env;
+      env.index = v;
+      env.seed = 3;
+      env.round = round;
+      for (std::uint64_t k = 0; k < 6; ++k) {
+        const std::uint64_t x = env.draw_below(k, kBins);
+        ASSERT_LT(x, kBins);
+        counts[x] += 1.0;
+        ++draws;
+      }
+      EXPECT_LT(env.draw_below(6, huge), huge);
+      EXPECT_EQ(env.draw_below(7, 1), 0u);
+      EXPECT_EQ(env.draw_below(8, huge), env.draw_below(8, huge));
+    }
+  }
+  const double expected = static_cast<double>(draws) / kBins;
+  double chi2 = 0.0;
+  for (const double c : counts) {
+    chi2 += (c - expected) * (c - expected) / expected;
+  }
+  EXPECT_LT(chi2, 20.5);
+  NodeEnv env;
+  EXPECT_THROW(env.draw_below(0, 0), CheckFailure);
+}
+
+TEST(Engine, DetLocalNodeCannotDraw) {
+  NodeEnv env;
+  env.index = 3;
+  env.seed = 12345;
+  env.id = 3;
+  EXPECT_THROW(env.draw(0), CheckFailure);
+  EXPECT_THROW(env.draw_below(0, 4), CheckFailure);
 }
 
 TEST(ViewEngine, BallContentsAndCharging) {

@@ -135,16 +135,16 @@ TEST(ServeRegistry, OutputDigestsArePinned) {
   const GraphSpec colored{"bipartite_regular", 4096, 3, 7};
   const GraphSpec tree{"complete_tree", 4096, 16, 0};
   const std::vector<Pin> pins = {
-      {"luby", regular, 1 << 16, 7, 0xb57129ab62b64845ULL},
-      {"ghaffari", regular, 1 << 16, 28, 0xac48b8d39e092eb7ULL},
+      {"luby", regular, 1 << 16, 7, 0x20c088745c9e434fULL},
+      {"ghaffari", regular, 1 << 16, 28, 0x0d88461921e57a82ULL},
       {"matching_rand", regular, 1 << 16, 8, 0x53acd95941c41faeULL},
       {"matching_det", regular, 1 << 16, 16, 0x6bc1cf2e0733b338ULL},
-      {"plus_one", regular, 1 << 16, 22, 0xe20c8c225e44bcd1ULL},
+      {"plus_one", regular, 1 << 16, 16, 0xb67f15870cb45802ULL},
       {"greedy", regular, 1 << 16, 12, 0x5f213cc46dd60f60ULL},
-      {"sinkless", colored, 1 << 14, 7, 0xa2b1a7d9d360b841ULL},
+      {"sinkless", colored, 1 << 14, 7, 0x293f4b9e519eae1dULL},
       {"spin", regular, 25, 25, 0x240b87608ecfced5ULL},
-      {"thm10", tree, 1 << 16, 24, 0xf26cc9380887cd35ULL},
-      {"thm11", tree, 1 << 16, 7, 0x7217277e17ee8774ULL},
+      {"thm10", tree, 1 << 16, 24, 0x406f4d95e3e7a1faULL},
+      {"thm11", tree, 1 << 16, 10, 0x42533280152186a0ULL},
   };
   ASSERT_EQ(pins.size(), algorithm_roster().size());
   for (const Pin& pin : pins) {
@@ -647,6 +647,27 @@ TEST(ServeServer, RejectsProtocolAbuse) {
   const double errors = server.counter("serve.errors");
   EXPECT_TRUE(server.handle_line("   "));
   EXPECT_EQ(server.counter("serve.errors"), errors);
+}
+
+// A request that fails to parse is answered with the check's message only:
+// never the checked expression or the source path of the check.
+TEST(ServeServer, ParseErrorsCarryNoSourceInternals) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 1;
+  JobServer server(options, log.sink());
+  EXPECT_TRUE(server.handle_line(std::string(4096, ' ') + "{"));
+  EXPECT_TRUE(server.handle_line("{\"op\":\"run\""));
+  server.drain();
+  std::lock_guard<std::mutex> lock(log.mu);
+  ASSERT_EQ(log.lines.size(), 2u);
+  for (const std::string& line : log.lines) {
+    const std::string error = json_parse(line).at("error").as_string();
+    EXPECT_FALSE(error.empty()) << line;
+    EXPECT_EQ(error.find("CKP_CHECK"), std::string::npos) << line;
+    EXPECT_EQ(error.find(".cpp"), std::string::npos) << line;
+    EXPECT_EQ(error.find('/'), std::string::npos) << line;
+  }
 }
 
 TEST(ServeServer, MultiClientRoutesResponsesByTag) {

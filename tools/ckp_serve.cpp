@@ -9,10 +9,11 @@
 //
 //   * socket mode: --socket=PATH binds a Unix stream socket and serves
 //     concurrent connections against ONE shared JobServer (shared queue,
-//     shared memo, shared workers). Each connection gets a reader thread;
-//     responses are routed back to the connection whose request earned them
-//     via the JobServer client tag, and job ids are scoped to their
-//     connection. The server runs until any connection sends
+//     shared memo, shared workers). Each connection gets a reader thread,
+//     joined by the accept loop after the next accept once its connection
+//     has ended; responses are routed back to the connection whose request
+//     earned them via the JobServer client tag, and job ids are scoped to
+//     their connection. The server runs until any connection sends
 //     {"op":"shutdown"} (which drains every client's jobs first).
 //
 //       ckp_serve --socket=/tmp/ckp.sock --store_dir=STORE &
@@ -241,15 +242,28 @@ int run_socket_mode(const ServerOptions& options, const std::string& path) {
     }
   });
 
-  std::vector<std::thread> readers;
+  // A reader sets its done flag as its last act; the accept loop joins the
+  // finished ones, so ended connections hold no thread until shutdown.
+  struct Reader {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> done;
+  };
+  std::vector<Reader> readers;
   while (running.load()) {
     const int fd = ::accept(listener, nullptr, nullptr);
+    std::erase_if(readers, [](Reader& r) {
+      if (!r.done->load()) return false;
+      r.thread.join();
+      return true;
+    });
     if (fd < 0) {
       if (!running.load()) break;
       continue;
     }
     const std::uint64_t client = conns.add(fd);
-    readers.emplace_back([&, fd, client] {
+    Reader& reader = readers.emplace_back();
+    reader.done = std::make_unique<std::atomic<bool>>(false);
+    reader.thread = std::thread([&, fd, client, done = reader.done.get()] {
       const std::shared_ptr<Conn> conn = conns.find(client);
       if (!serve_lines(server, fd, *conn, client)) {
         // Shutdown already drained every client's jobs; close the listener
@@ -261,9 +275,10 @@ int run_socket_mode(const ServerOptions& options, const std::string& path) {
       }
       conns.remove(client);
       ::close(fd);
+      done->store(true);
     });
   }
-  for (std::thread& t : readers) t.join();
+  for (Reader& r : readers) r.thread.join();
   ::close(listener);
   ::unlink(path.c_str());
   return 0;
