@@ -6,6 +6,8 @@
 //
 //   generate_streamed   in-place union-of-matchings CSR generation
 //                       (make_random_bipartite_regular_streamed), nodes/sec
+//   generate_complete_tree  the Δ=16 complete tree the Δ-coloring ports
+//                       run on (make_complete_tree), nodes/sec
 //   mis_luby_packed     RandLOCAL Luby, work-stealing schedule;
 //                       node·rounds/sec and engine bytes/node
 //   mis_ghaffari_local  RandLOCAL desire-level MIS with shattering residue
@@ -103,9 +105,9 @@ int main(int argc, char** argv) {
   std::cout << "E18: engine scale-up — streamed generation + packed rounds\n"
             << "Δ=" << d << "-regular bipartite, threads=" << threads
             << ", shard_nodes=" << shard_nodes << "\n\n";
-  Table t({"n", "gen Mn/s", "luby Mn·r/s", "luby B/n", "ghaf B/n",
-           "mrand B/n", "mdet B/n", "p1 B/n", "greedy B/n", "t10 B/n",
-           "t11 B/n", "util"});
+  Table t({"n", "gen Mn/s", "tree Mn/s", "luby Mn·r/s", "luby B/n",
+           "ghaf B/n", "mrand B/n", "mdet B/n", "p1 B/n", "greedy B/n",
+           "t10 B/n", "t11 B/n", "util"});
 
   for (int e = min_exp; e <= max_exp; e += exp_step) {
     const NodeId n = static_cast<NodeId>(1) << e;
@@ -182,8 +184,25 @@ int main(int argc, char** argv) {
     // Theorem 10's reserved palette admits.
     const int tree_delta = 16;
     Graph tree;
+    double tree_nodes_per_sec = 0.0;
     if (enabled("thm10") || enabled("thm11")) {
+      before = shared_pool_stats();
+      Timer tree_timer;
       tree = make_complete_tree(n, tree_delta);
+      const double tree_seconds = tree_timer.seconds();
+      tree_nodes_per_sec = static_cast<double>(n) / tree_seconds;
+      RunRecord rec = reporter.make_record();
+      rec.algorithm = "generate_complete_tree";
+      rec.graph_family = "complete_tree";
+      rec.n = static_cast<std::uint64_t>(n);
+      rec.delta = tree_delta;
+      rec.wall_seconds = tree_seconds;
+      rec.verified =
+          tree.num_edges() == n - 1 && tree.max_degree() == tree_delta;
+      CKP_CHECK(rec.verified);
+      rec.metric("nodes_per_sec", tree_nodes_per_sec);
+      add_resource_run_metrics(rec, before);
+      reporter.add(std::move(rec));
     }
 
     for (int s = 0; s < seeds; ++s) {
@@ -381,6 +400,7 @@ int main(int argc, char** argv) {
 
     t.add_row({Table::cell(static_cast<std::int64_t>(n)),
                Table::cell(static_cast<double>(n) / gen_seconds / 1e6, 2),
+               Table::cell(tree_nodes_per_sec / 1e6, 2),
                Table::cell(luby_node_rounds_per_sec / 1e6, 1),
                Table::cell(luby_bytes_per_node, 1),
                Table::cell(ghaffari_bytes_per_node, 1),

@@ -13,7 +13,7 @@ TESTS=(test_roundelim_packed test_core_roundelim test_property_fuzz
   test_parse_hardening test_store_binary test_store_resume test_bfs_kernel
   test_obs_resource test_engine_packed test_obs_engine test_engine_parallel
   test_local_engine test_util_thread_pool test_graph_regular test_serve
-  test_delta_coloring_packed)
+  test_delta_coloring_packed test_graph_core test_graph_analysis)
 
 if command -v cmake >/dev/null && cmake --list-presets >/dev/null 2>&1; then
   cmake --preset asan -B "$BUILD_DIR" >/dev/null

@@ -19,9 +19,11 @@
 # one server process: both finish, and each client receives exactly its own
 # jobs' responses (the shared-JobServer client routing, end to end). Leg 6
 # sends a 2 MiB request line: the server answers it with one error, skips
-# it, and serves the next line. The last leg opens and closes 50
-# connections one after another: the server joins each finished reader
-# thread, so its thread count and its mapped memory stay flat.
+# it, and serves the next line. Leg 7 opens and closes 50 connections one
+# after another: the server joins each finished reader thread, so its
+# thread count and its mapped memory stay flat. Leg 8 pipes 280 jobs to one
+# worker: pipe mode blocks its reader while the queue is full, so every job
+# completes and none is rejected.
 #
 #   scripts/check_serve.sh [BUILD_DIR]
 set -euo pipefail
@@ -43,7 +45,7 @@ COMPLETING_JOBS='{"op":"run","id":"m1","algo":"luby","graph":{"family":"random_r
 {"op":"run","id":"m2","algo":"greedy","graph":{"family":"cycle","n":4096},"seed":1}
 {"op":"run","id":"m3","algo":"plus_one","graph":{"family":"complete_tree","n":1093,"d":3},"seed":5}'
 
-echo "== 1/7 mixed batch with a deadline-exceeding job"
+echo "== 1/8 mixed batch with a deadline-exceeding job"
 {
   echo "$COMPLETING_JOBS"
   # spin never halts; only the 150ms deadline ends it — at a round barrier.
@@ -72,7 +74,7 @@ print(f"   4/4 jobs terminal; deadline job stopped at round "
       f"{dl['record']['rounds']}")
 EOF
 
-echo "== 2/7 SIGKILL mid-batch, restart on the same store"
+echo "== 2/8 SIGKILL mid-batch, restart on the same store"
 # Long-ish jobs so the kill lands mid-run; managed by PID (never pkill — a
 # pattern match can catch the invoking shell itself).
 {
@@ -104,7 +106,7 @@ for jid, d in done.items():
 print("   restart on killed store: 3/3 jobs verified, store readable")
 EOF
 
-echo "== 3/7 memo replay: byte-identical records, zero engine rounds"
+echo "== 3/8 memo replay: byte-identical records, zero engine rounds"
 {
   echo "$COMPLETING_JOBS"
   echo '{"op":"stats"}'
@@ -133,7 +135,7 @@ assert stats.get("serve.engine_rounds_total", 0) == 0, stats
 print("   3/3 memo hits, records byte-identical, engine_rounds_total=0")
 EOF
 
-echo "== 4/7 socket mode through ckp_serve_client"
+echo "== 4/8 socket mode through ckp_serve_client"
 SOCK="$WORK/serve.sock"
 "$SERVE" --workers=2 --store_dir="$WORK/store" --socket="$SOCK" \
   >"$WORK/sock_server.out" 2>&1 &
@@ -149,7 +151,7 @@ echo '{"op":"shutdown"}' | "$CLIENT" --socket="$SOCK" --quiet
 wait "$SRV"
 echo "   client batch served over AF_UNIX; clean shutdown"
 
-echo "== 5/7 two concurrent clients, one shared server"
+echo "== 5/8 two concurrent clients, one shared server"
 SOCK="$WORK/multi.sock"
 "$SERVE" --workers=4 --store_dir="$WORK/multi_store" --socket="$SOCK" \
   >"$WORK/multi_server.out" 2>&1 &
@@ -201,7 +203,7 @@ assert a_stats == 1 and b_stats == 1, (a_stats, b_stats)
 print("   2 concurrent clients: 4/4 jobs verified, zero cross-client leakage")
 EOF
 
-echo "== 6/7 oversized request line, then a valid job"
+echo "== 6/8 oversized request line, then a valid job"
 # 2 MiB of 'x' with no newline inside, over the 1 MiB line cap; the newline
 # that ends it is followed by a valid run and a shutdown.
 python3 - >"$WORK/long.jsonl" <<'EOF'
@@ -224,7 +226,7 @@ print("   oversized line answered with one error; next job verified; "
       "clean shutdown")
 EOF
 
-echo "== 7/7 50 connections opened and closed one after another"
+echo "== 7/8 50 connections opened and closed one after another"
 SOCK="$WORK/reap.sock"
 "$SERVE" --workers=2 --socket="$SOCK" >"$WORK/reap_server.out" 2>&1 &
 SRV=$!
@@ -251,5 +253,23 @@ wait "$SRV"
   exit 1
 }
 echo "   50 sequential connections: $THREADS threads, VmSize +$(( (VM_LAST - VM_FIRST) / 1024 )) MiB"
+
+echo "== 8/8 pipe mode waits for room instead of rejecting past the queue limit"
+# 280 jobs into one worker and the default 64-job queue: the pipe reader has
+# no client to retry for it, so it must block while the queue is full.
+python3 - >"$WORK/flood.jsonl" <<'EOF'
+for i in range(280):
+    print('{"op":"run","id":"f%d","algo":"luby","graph":{"family":"cycle","n":64},"seed":%d}' % (i, i + 1))
+EOF
+"$SERVE" --workers=1 <"$WORK/flood.jsonl" >"$WORK/flood.out"
+python3 - "$WORK/flood.out" <<'EOF'
+import json, sys
+docs = [json.loads(line) for line in open(sys.argv[1])]
+errors = [d for d in docs if "error" in d]
+assert not errors, f"{len(errors)} errors, first: {errors[0]}"
+done = {d["id"] for d in docs if d.get("done")}
+assert done == {"f%d" % i for i in range(280)}, len(done)
+print(f"   280 piped jobs on 1 worker: {len(done)} done, 0 errors")
+EOF
 
 echo "check_serve OK"

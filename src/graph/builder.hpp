@@ -1,8 +1,11 @@
 // Incremental edge-list accumulation with duplicate filtering.
 //
 // Generators add edges as they go; the builder keeps a hash set of seen
-// edges so duplicate insertions are cheap no-ops (the configuration-model
-// generators rely on this) and finalizes into an immutable Graph.
+// edges so duplicate insertions are cheap no-ops and finalizes into an
+// immutable Graph. The hash set costs one allocation per edge, so use the
+// builder only when duplicates must be dropped or probed (random graphs,
+// power and line graphs); a generator whose edges are unique by
+// construction passes its EdgeList straight to Graph::from_edges.
 #pragma once
 
 #include <unordered_set>

@@ -1,7 +1,7 @@
 #include "graph/components.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -18,29 +18,29 @@ Components components_of_subset(const Graph& g,
   CKP_CHECK(include.size() == static_cast<std::size_t>(n));
   Components out;
   out.label.assign(static_cast<std::size_t>(n), -1);
+  // One flat BFS queue for the whole pass: every node enters it at most
+  // once, so component `comp` is the slice [first, queue.size()).
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(n));
   for (NodeId start = 0; start < n; ++start) {
     if (!include[static_cast<std::size_t>(start)] ||
         out.label[static_cast<std::size_t>(start)] != -1) {
       continue;
     }
     const int comp = out.count++;
-    NodeId members = 0;
-    std::queue<NodeId> q;
-    q.push(start);
+    const std::size_t first = queue.size();
+    queue.push_back(start);
     out.label[static_cast<std::size_t>(start)] = comp;
-    while (!q.empty()) {
-      const NodeId v = q.front();
-      q.pop();
-      ++members;
-      for (NodeId u : g.neighbors(v)) {
+    for (std::size_t head = first; head < queue.size(); ++head) {
+      for (NodeId u : g.neighbors(queue[head])) {
         if (include[static_cast<std::size_t>(u)] &&
             out.label[static_cast<std::size_t>(u)] == -1) {
           out.label[static_cast<std::size_t>(u)] = comp;
-          q.push(u);
+          queue.push_back(u);
         }
       }
     }
-    out.size.push_back(members);
+    out.size.push_back(static_cast<NodeId>(queue.size() - first));
   }
   return out;
 }

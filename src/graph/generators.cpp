@@ -7,69 +7,77 @@
 
 namespace ckp {
 
+// make_path through make_hypercube produce each edge exactly once, so they
+// hand their edge list straight to Graph::from_edges (which still rejects
+// any duplicate) instead of paying for GraphBuilder's hash set. The random
+// families after them use the builder to drop repeated draws.
+
 Graph make_path(NodeId n) {
   CKP_CHECK(n >= 1);
-  GraphBuilder b(n);
-  for (NodeId v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1);
-  return b.build();
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n) - 1);
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_cycle(NodeId n) {
   CKP_CHECK(n >= 3);
-  GraphBuilder b(n);
-  for (NodeId v = 0; v < n; ++v) b.add_edge(v, (v + 1) % n);
-  return b.build();
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) edges.emplace_back(v, (v + 1) % n);
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_star(NodeId n) {
   CKP_CHECK(n >= 1);
-  GraphBuilder b(n);
-  for (NodeId v = 1; v < n; ++v) b.add_edge(0, v);
-  return b.build();
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n) - 1);
+  for (NodeId v = 1; v < n; ++v) edges.emplace_back(0, v);
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_complete(NodeId n) {
   CKP_CHECK(n >= 1);
-  GraphBuilder b(n);
+  EdgeList edges;
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) b.add_edge(u, v);
+    for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
   }
-  return b.build();
+  return Graph::from_edges(n, edges);
 }
 
-Graph make_complete_bipartite(NodeId a, NodeId b_count) {
-  CKP_CHECK(a >= 1 && b_count >= 1);
-  GraphBuilder b(a + b_count);
+Graph make_complete_bipartite(NodeId a, NodeId b) {
+  CKP_CHECK(a >= 1 && b >= 1);
+  EdgeList edges;
   for (NodeId u = 0; u < a; ++u) {
-    for (NodeId v = 0; v < b_count; ++v) b.add_edge(u, a + v);
+    for (NodeId v = 0; v < b; ++v) edges.emplace_back(u, a + v);
   }
-  return b.build();
+  return Graph::from_edges(a + b, edges);
 }
 
 Graph make_grid(NodeId rows, NodeId cols) {
   CKP_CHECK(rows >= 1 && cols >= 1);
-  GraphBuilder b(rows * cols);
+  EdgeList edges;
   auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
   for (NodeId r = 0; r < rows; ++r) {
     for (NodeId c = 0; c < cols; ++c) {
-      if (c + 1 < cols) b.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) b.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) edges.emplace_back(id(r, c), id(r, c + 1));
+      if (r + 1 < rows) edges.emplace_back(id(r, c), id(r + 1, c));
     }
   }
-  return b.build();
+  return Graph::from_edges(rows * cols, edges);
 }
 
 Graph make_hypercube(int d) {
   CKP_CHECK(d >= 0 && d <= 20);
   const NodeId n = static_cast<NodeId>(1) << d;
-  GraphBuilder b(n);
+  EdgeList edges;
   for (NodeId v = 0; v < n; ++v) {
     for (int bit = 0; bit < d; ++bit) {
       const NodeId u = v ^ (static_cast<NodeId>(1) << bit);
-      if (v < u) b.add_edge(v, u);
+      if (v < u) edges.emplace_back(v, u);
     }
   }
-  return b.build();
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_er(NodeId n, double p, Rng& rng) {

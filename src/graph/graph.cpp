@@ -8,60 +8,60 @@
 
 namespace ckp {
 
-Graph Graph::from_edges(NodeId n,
-                        const std::vector<std::pair<NodeId, NodeId>>& edges) {
+Graph Graph::from_edges(NodeId n, const EdgeList& edges) {
   CKP_CHECK(n >= 0);
+  const auto nodes = static_cast<std::size_t>(n);
   Graph g;
   g.endpoints_.reserve(edges.size());
+  g.offsets_.assign(nodes + 1, 0);
   for (auto [u, v] : edges) {
     CKP_CHECK_MSG(u >= 0 && u < n && v >= 0 && v < n,
                   "edge endpoint out of range: {" << u << "," << v << "}");
     CKP_CHECK_MSG(u != v, "self-loop at node " << u);
     if (u > v) std::swap(u, v);
     g.endpoints_.emplace_back(u, v);
+    ++g.offsets_[static_cast<std::size_t>(u) + 1];
+    ++g.offsets_[static_cast<std::size_t>(v) + 1];
   }
-  // Reject duplicate edges.
-  {
-    auto sorted = g.endpoints_;
-    std::sort(sorted.begin(), sorted.end());
-    const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-    CKP_CHECK_MSG(dup == sorted.end(),
-                  "duplicate edge {" << dup->first << "," << dup->second
-                                     << "}");
-  }
+  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
 
-  std::vector<std::size_t> deg(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : g.endpoints_) {
-    ++deg[static_cast<std::size_t>(u)];
-    ++deg[static_cast<std::size_t>(v)];
-  }
-  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::partial_sum(deg.begin(), deg.end() - 1, g.offsets_.begin() + 1);
-
-  g.adjacency_.resize(2 * g.endpoints_.size());
-  g.incident_.resize(2 * g.endpoints_.size());
+  // Two-pass counting sort over the 2m arcs. Pass 1 buckets every arc x->w
+  // by its neighbour w, in edge order; the graph is symmetric, so bucket w
+  // fills exactly w's row span. Pass 2 walks the buckets in ascending w and
+  // appends w to row x, so every row comes out ascending and each edge id
+  // stays aligned with its neighbour.
+  const std::size_t arcs = 2 * g.endpoints_.size();
+  std::vector<NodeId> source(arcs);
+  std::vector<EdgeId> via(arcs);
   std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (EdgeId e = 0; e < static_cast<EdgeId>(g.endpoints_.size()); ++e) {
     const auto [u, v] = g.endpoints_[static_cast<std::size_t>(e)];
-    g.adjacency_[cursor[static_cast<std::size_t>(u)]] = v;
-    g.incident_[cursor[static_cast<std::size_t>(u)]++] = e;
-    g.adjacency_[cursor[static_cast<std::size_t>(v)]] = u;
-    g.incident_[cursor[static_cast<std::size_t>(v)]++] = e;
+    source[cursor[static_cast<std::size_t>(v)]] = u;
+    via[cursor[static_cast<std::size_t>(v)]++] = e;
+    source[cursor[static_cast<std::size_t>(u)]] = v;
+    via[cursor[static_cast<std::size_t>(u)]++] = e;
+  }
+  std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
+  g.adjacency_.resize(arcs);
+  g.incident_.resize(arcs);
+  for (NodeId w = 0; w < n; ++w) {
+    for (std::size_t i = g.offsets_[static_cast<std::size_t>(w)];
+         i < g.offsets_[static_cast<std::size_t>(w) + 1]; ++i) {
+      const std::size_t slot = cursor[static_cast<std::size_t>(source[i])]++;
+      g.adjacency_[slot] = w;
+      g.incident_[slot] = via[i];
+    }
   }
 
-  // Sort each adjacency segment (and the aligned edge ids) by neighbor id.
+  // A duplicate edge {a,b} leaves two equal adjacent entries in both rows;
+  // rows are scanned in ascending order, so the first hit is in row a and
+  // names the lexicographically smallest duplicate.
   for (NodeId v = 0; v < n; ++v) {
     const std::size_t lo = g.offsets_[static_cast<std::size_t>(v)];
     const std::size_t hi = g.offsets_[static_cast<std::size_t>(v) + 1];
-    std::vector<std::pair<NodeId, EdgeId>> seg;
-    seg.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      seg.emplace_back(g.adjacency_[i], g.incident_[i]);
-    }
-    std::sort(seg.begin(), seg.end());
-    for (std::size_t i = lo; i < hi; ++i) {
-      g.adjacency_[i] = seg[i - lo].first;
-      g.incident_[i] = seg[i - lo].second;
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      CKP_CHECK_MSG(g.adjacency_[i] != g.adjacency_[i - 1],
+                    "duplicate edge {" << v << "," << g.adjacency_[i] << "}");
     }
     g.max_degree_ = std::max(g.max_degree_, static_cast<int>(hi - lo));
   }

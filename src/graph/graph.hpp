@@ -21,16 +21,23 @@ using EdgeId = std::int32_t;
 inline constexpr NodeId kInvalidNode = -1;
 inline constexpr EdgeId kInvalidEdge = -1;
 
+// An undirected edge list; position i becomes EdgeId i.
+using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+
 class Graph {
  public:
   // An empty graph (0 nodes). Useful as a placeholder before assignment.
   Graph() = default;
 
-  // Builds a graph with `n` nodes from an undirected edge list. Self-loops
-  // and duplicate edges are rejected (CheckFailure). Endpoints must lie in
-  // [0, n).
-  static Graph from_edges(NodeId n,
-                          const std::vector<std::pair<NodeId, NodeId>>& edges);
+  // Builds a graph with `n` nodes from an undirected edge list; edge i of
+  // the list gets EdgeId i. Endpoints must lie in [0, n). Self-loops and
+  // duplicate edges are rejected (CheckFailure); a duplicate is reported as
+  // the lexicographically smallest one, "duplicate edge {a,b}" with a < b.
+  // Cost: O(n + m) time by a two-pass counting sort over the 2m arcs, and a
+  // constant number of allocations whatever the input order. Generators
+  // whose edges are unique by construction call this directly; only
+  // callers that need duplicates dropped go through GraphBuilder.
+  static Graph from_edges(NodeId n, const EdgeList& edges);
 
   // Adopts prebuilt CSR arrays for a d-regular graph without the edge-list
   // round trip of from_edges (the streaming generators write adjacency in

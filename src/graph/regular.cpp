@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <unordered_set>
 #include <utility>
 
-#include "graph/builder.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -82,68 +80,7 @@ Graph make_random_regular(NodeId n, int d, Rng& rng) {
 }
 
 EdgeColoredGraph make_random_bipartite_regular(NodeId side, int d, Rng& rng) {
-  CKP_CHECK(side >= 1);
-  CKP_CHECK(d >= 1 && d <= side);
-  // Left nodes are [0, side), right nodes [side, 2*side). Color c pairs
-  // left node i with right node perm_c[i]. A fresh random permutation
-  // collides with the earlier matchings ~c times in expectation, so instead
-  // of restarting we repair each matching by transpositions: swapping
-  // perm[i] with a random partner is degree-preserving and quickly clears
-  // the few collisions.
-  GraphBuilder b(2 * side);
-  std::vector<std::pair<NodeId, NodeId>> colored_edges;
-  std::vector<int> colors;
-  std::vector<NodeId> perm(static_cast<std::size_t>(side));
-  for (int c = 0; c < d; ++c) {
-    std::iota(perm.begin(), perm.end(), 0);
-    for (std::size_t i = perm.size() - 1; i > 0; --i) {
-      const std::size_t j = static_cast<std::size_t>(rng.next_below(i + 1));
-      std::swap(perm[i], perm[j]);
-    }
-    auto taken = [&](NodeId i) {
-      return b.has_edge(i, side + perm[static_cast<std::size_t>(i)]);
-    };
-    std::size_t guard = 0;
-    const std::size_t max_guard =
-        1000 * static_cast<std::size_t>(side) + 100000;
-    for (bool any = true; any;) {
-      any = false;
-      for (NodeId i = 0; i < side; ++i) {
-        if (!taken(i)) continue;
-        any = true;
-        CKP_CHECK_MSG(++guard < max_guard,
-                      "matching repair did not converge");
-        const auto j = static_cast<NodeId>(
-            rng.next_below(static_cast<std::uint64_t>(side)));
-        if (j == i) continue;
-        // Accept the transposition only if it creates no new collision.
-        std::swap(perm[static_cast<std::size_t>(i)],
-                  perm[static_cast<std::size_t>(j)]);
-        if (taken(i) || taken(j)) {
-          std::swap(perm[static_cast<std::size_t>(i)],
-                    perm[static_cast<std::size_t>(j)]);
-        }
-      }
-    }
-    for (NodeId i = 0; i < side; ++i) {
-      const NodeId v = side + perm[static_cast<std::size_t>(i)];
-      CKP_CHECK(b.add_edge(i, v));
-      colored_edges.emplace_back(i, v);
-      colors.push_back(c);
-    }
-  }
-  EdgeColoredGraph out;
-  out.graph = b.build();
-  out.num_colors = d;
-  out.edge_color.assign(static_cast<std::size_t>(out.graph.num_edges()), -1);
-  for (std::size_t i = 0; i < colored_edges.size(); ++i) {
-    const EdgeId e =
-        out.graph.edge_between(colored_edges[i].first, colored_edges[i].second);
-    CKP_CHECK(e != kInvalidEdge);
-    out.edge_color[static_cast<std::size_t>(e)] = colors[i];
-  }
-  CKP_CHECK(is_proper_edge_coloring(out.graph, out.edge_color, d));
-  return out;
+  return make_random_bipartite_regular_streamed(side, d, rng, side, 1);
 }
 
 namespace {
@@ -205,8 +142,10 @@ EdgeColoredGraph make_random_bipartite_regular_streamed(NodeId side, int d,
       const auto j = static_cast<NodeId>(rng.next_below(i + 1));
       std::swap(slot(static_cast<NodeId>(i), c), slot(j, c));
     }
-    // Collision repair, as in make_random_bipartite_regular but with the
-    // builder's hash probe replaced by a scan of the <= d-1 finished color
+    // Collision repair: a fresh random permutation collides with the
+    // earlier matchings ~c times in expectation, so instead of restarting,
+    // swap a colliding perm[i] with a random partner (degree-preserving)
+    // until none is left. Membership is a scan of the <= d-1 finished color
     // slots of the row — O(d) per probe, no auxiliary memory.
     auto taken = [&](NodeId i) {
       const NodeId want = side + slot(i, c);
@@ -303,10 +242,11 @@ EdgeColoredGraph make_random_bipartite_regular_streamed(NodeId side, int d,
 Graph make_moebius_ladder(NodeId k) {
   CKP_CHECK(k >= 3);
   const NodeId n = 2 * k;
-  GraphBuilder b(n);
-  for (NodeId v = 0; v < n; ++v) b.add_edge(v, (v + 1) % n);
-  for (NodeId v = 0; v < k; ++v) b.add_edge(v, v + k);
-  return b.build();
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n + k));
+  for (NodeId v = 0; v < n; ++v) edges.emplace_back(v, (v + 1) % n);
+  for (NodeId v = 0; v < k; ++v) edges.emplace_back(v, v + k);
+  return Graph::from_edges(n, edges);
 }
 
 bool is_proper_edge_coloring(const Graph& g, const std::vector<int>& edge_color,
@@ -315,12 +255,18 @@ bool is_proper_edge_coloring(const Graph& g, const std::vector<int>& edge_color,
   for (int c : edge_color) {
     if (c < 0 || c >= num_colors) return false;
   }
+  // One flag per colour, shared by all nodes: each node clears only the
+  // colours it set.
+  std::vector<char> used(static_cast<std::size_t>(std::max(num_colors, 0)), 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::vector<char> used(static_cast<std::size_t>(num_colors), 0);
-    for (EdgeId e : g.incident_edges(v)) {
-      const int c = edge_color[static_cast<std::size_t>(e)];
-      if (used[static_cast<std::size_t>(c)]) return false;
-      used[static_cast<std::size_t>(c)] = 1;
+    const auto edges = g.incident_edges(v);
+    for (EdgeId e : edges) {
+      const auto c = static_cast<std::size_t>(edge_color[static_cast<std::size_t>(e)]);
+      if (used[c]) return false;
+      used[c] = 1;
+    }
+    for (EdgeId e : edges) {
+      used[static_cast<std::size_t>(edge_color[static_cast<std::size_t>(e)])] = 0;
     }
   }
   return true;

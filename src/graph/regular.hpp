@@ -30,11 +30,12 @@ Graph make_random_regular(NodeId n, int d, Rng& rng);
 
 // Random d-regular bipartite simple graph on 2*side nodes (left: [0, side)),
 // as the union of d random perfect matchings; matching index = edge color.
-// Requires d <= side.
+// Requires d <= side. This is make_random_bipartite_regular_streamed on one
+// thread.
 EdgeColoredGraph make_random_bipartite_regular(NodeId side, int d, Rng& rng);
 
-// Same distribution family as make_random_bipartite_regular, engineered for
-// 10^7–10^8-node instances: each matching is generated *in place* in the
+// The bipartite-regular generator, engineered for 10^7–10^8-node
+// instances: each matching is generated *in place* in the
 // final CSR adjacency array (color c's permutation lives in the strided
 // slots adjacency[i*d + c]), so there are no intermediate edge vectors, no
 // builder hash sets, and no O(m) temporaries — peak memory is the final

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "graph/builder.hpp"
 #include "util/check.hpp"
 
 namespace ckp {
@@ -11,23 +10,26 @@ namespace ckp {
 Graph make_complete_tree(NodeId n, int delta) {
   CKP_CHECK(n >= 1);
   CKP_CHECK(delta >= 2);
-  GraphBuilder b(n);
   // Assign children in BFS order; the root may take `delta` children, later
-  // nodes `delta - 1` (one slot is used by their parent edge).
+  // nodes `delta - 1` (one slot is used by their parent edge). Every edge
+  // is new, so the list goes straight to from_edges.
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n) - 1);
   NodeId next_child = 1;
   for (NodeId v = 0; v < n && next_child < n; ++v) {
     const int capacity = (v == 0) ? delta : delta - 1;
     for (int c = 0; c < capacity && next_child < n; ++c) {
-      b.add_edge(v, next_child++);
+      edges.emplace_back(v, next_child++);
     }
   }
-  return b.build();
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_random_tree(NodeId n, int delta, Rng& rng) {
   CKP_CHECK(n >= 1);
   CKP_CHECK(delta >= 2);
-  GraphBuilder b(n);
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n) - 1);
   std::vector<int> deg(static_cast<std::size_t>(n), 0);
   // `open` holds nodes that can still accept another child.
   std::vector<NodeId> open;
@@ -37,14 +39,14 @@ Graph make_random_tree(NodeId n, int delta, Rng& rng) {
     const auto idx =
         static_cast<std::size_t>(rng.next_below(open.size()));
     const NodeId parent = open[idx];
-    b.add_edge(parent, v);
+    edges.emplace_back(parent, v);
     if (++deg[static_cast<std::size_t>(parent)] >= delta) {
       open[idx] = open.back();
       open.pop_back();
     }
     if (++deg[static_cast<std::size_t>(v)] < delta) open.push_back(v);
   }
-  return b.build();
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_prufer_tree(NodeId n, Rng& rng) {
@@ -58,13 +60,14 @@ Graph make_prufer_tree(NodeId n, Rng& rng) {
   std::vector<int> deg(static_cast<std::size_t>(n), 1);
   for (NodeId x : prufer) ++deg[static_cast<std::size_t>(x)];
 
-  GraphBuilder b(n);
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n) - 1);
   // Standard linear-time decode with a moving pointer over leaves.
   NodeId ptr = 0;
   while (deg[static_cast<std::size_t>(ptr)] != 1) ++ptr;
   NodeId leaf = ptr;
   for (NodeId x : prufer) {
-    b.add_edge(leaf, x);
+    edges.emplace_back(leaf, x);
     if (--deg[static_cast<std::size_t>(x)] == 1 && x < ptr) {
       leaf = x;
     } else {
@@ -73,37 +76,39 @@ Graph make_prufer_tree(NodeId n, Rng& rng) {
       leaf = ptr;
     }
   }
-  b.add_edge(leaf, n - 1);
-  return b.build();
+  edges.emplace_back(leaf, n - 1);
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_caterpillar(NodeId spine, int legs) {
   CKP_CHECK(spine >= 1);
   CKP_CHECK(legs >= 0);
   const NodeId n = spine + spine * legs;
-  GraphBuilder b(n);
-  for (NodeId s = 0; s + 1 < spine; ++s) b.add_edge(s, s + 1);
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n) - 1);
+  for (NodeId s = 0; s + 1 < spine; ++s) edges.emplace_back(s, s + 1);
   NodeId next = spine;
   for (NodeId s = 0; s < spine; ++s) {
-    for (int l = 0; l < legs; ++l) b.add_edge(s, next++);
+    for (int l = 0; l < legs; ++l) edges.emplace_back(s, next++);
   }
-  return b.build();
+  return Graph::from_edges(n, edges);
 }
 
 Graph make_spider(int legs, NodeId leg_len) {
   CKP_CHECK(legs >= 1);
   CKP_CHECK(leg_len >= 1);
   const NodeId n = 1 + static_cast<NodeId>(legs) * leg_len;
-  GraphBuilder b(n);
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(n) - 1);
   NodeId next = 1;
   for (int l = 0; l < legs; ++l) {
     NodeId prev = 0;
     for (NodeId i = 0; i < leg_len; ++i) {
-      b.add_edge(prev, next);
+      edges.emplace_back(prev, next);
       prev = next++;
     }
   }
-  return b.build();
+  return Graph::from_edges(n, edges);
 }
 
 bool is_tree(const Graph& g) {

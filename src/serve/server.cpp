@@ -441,6 +441,15 @@ void JobServer::drain() {
   idle_cv_.wait(lock, [&] { return queue_.empty() && running_ == 0; });
 }
 
+void JobServer::wait_for_room() {
+  // Workers notify idle_cv_ after every job, once its slot in active_ is
+  // free.
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [&] {
+    return static_cast<int>(active_.size()) < opts_.queue_limit;
+  });
+}
+
 double JobServer::counter(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   return metrics_.counter(name);

@@ -128,6 +128,12 @@ class JobServer {
   // Blocks until every admitted job has emitted its terminal response.
   void drain();
 
+  // Blocks until fewer than queue_limit jobs are admitted but unfinished.
+  // A transport with no client to retry (pipe mode) calls it between lines,
+  // so a long batch waits for room instead of earning "queue full" errors;
+  // socket transports never call it and keep rejecting.
+  void wait_for_room();
+
   // Counter snapshot for tests/tools ("serve.jobs_admitted",
   // "serve.memo_hits", "serve.engine_rounds_total", ...).
   double counter(const std::string& name) const;

@@ -103,6 +103,38 @@ TEST(Components, EmptySubset) {
   EXPECT_EQ(c.largest(), 0);
 }
 
+TEST(Components, SubsetLabelsInDiscoveryOrder) {
+  const Graph g = make_path(10);
+  std::vector<char> keep(10, 1);
+  keep[3] = 0;
+  keep[7] = 0;
+  const auto c = components_of_subset(g, keep);
+  EXPECT_EQ(c.size, (std::vector<NodeId>{3, 3, 2}));
+  EXPECT_EQ(c.label,
+            (std::vector<int>{0, 0, 0, -1, 1, 1, 1, -1, 2, 2}));
+}
+
+TEST(Components, RejectsWrongSizeSubset) {
+  const Graph g = make_path(4);
+  EXPECT_THROW(components_of_subset(g, std::vector<char>(3, 1)), CheckFailure);
+  EXPECT_THROW(components_of_subset(g, std::vector<char>(5, 1)), CheckFailure);
+}
+
+// One flat queue serves the whole pass: 2048 singleton components cost a
+// few growths of the size vector, not one queue per component.
+TEST(Components, ManyComponentsAllocateNoQueuePerComponent) {
+  CKP_SKIP_IF_COUNTERS_IDLE();
+  const Graph g = make_path(1 << 12);
+  std::vector<char> keep(1 << 12, 0);
+  for (std::size_t v = 0; v < keep.size(); v += 2) keep[v] = 1;
+  AllocScope scope;
+  const auto c = components_of_subset(g, keep);
+  const std::uint64_t allocations = scope.allocations();
+  EXPECT_EQ(c.count, 1 << 11);
+  EXPECT_EQ(c.largest(), 1);
+  EXPECT_LE(allocations, 32u);
+}
+
 TEST(BfsDistances, CappedCorrectly) {
   const Graph g = make_path(10);
   const auto dist = bfs_distances(g, 0, 3);

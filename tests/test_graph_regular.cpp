@@ -5,7 +5,9 @@
 #include <algorithm>
 
 #include "graph/components.hpp"
+#include "graph/generators.hpp"
 #include "graph/girth.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
 
@@ -63,6 +65,60 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<NodeId, int>{100, 6},
                       std::pair<NodeId, int>{200, 8}));
 
+// FNV-1a over the full instance: per-node adjacency and incident edge ids,
+// per-edge endpoints and colours, then the generator's RNG state afterwards
+// (its next draw).
+std::uint64_t instance_digest(const EdgeColoredGraph& inst, Rng& rng) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h = (h ^ x) * 0x100000001b3ULL;
+  };
+  const Graph& g = inst.graph;
+  mix(static_cast<std::uint64_t>(g.num_nodes()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    mix(static_cast<std::uint64_t>(g.degree(v)));
+    for (const NodeId u : g.neighbors(v)) mix(static_cast<std::uint64_t>(u));
+    for (const EdgeId e : g.incident_edges(v)) {
+      mix(static_cast<std::uint64_t>(e));
+    }
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    mix(static_cast<std::uint64_t>(g.endpoints(e).first));
+    mix(static_cast<std::uint64_t>(g.endpoints(e).second));
+    mix(static_cast<std::uint64_t>(inst.edge_color[static_cast<std::size_t>(e)]));
+  }
+  mix(static_cast<std::uint64_t>(inst.num_colors));
+  mix(rng());
+  return h;
+}
+
+// Pins the generator's exact output, so a change to how it is built must
+// reproduce every instance bit for bit.
+TEST(BipartiteRegular, OutputDigestIsPinned) {
+  struct Case {
+    NodeId side;
+    int d;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, 1, 5, 0xf42e97b2693820e7},
+      {8, 3, 79, 0x008dedfc349dbfe5},
+      {33, 3, 11, 0xdc3f36dcb7a29bdf},
+      {64, 4, 0x5EED, 0xac757f333c04057e},
+      {100, 6, 83, 0x5850b756a1039c84},
+      {200, 8, 89, 0x91eca08486782a6d},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const auto inst = make_random_bipartite_regular(c.side, c.d, rng);
+    const std::uint64_t digest = instance_digest(inst, rng);
+    EXPECT_EQ(digest, c.digest)
+        << "side=" << c.side << " d=" << c.d << " seed=" << c.seed
+        << " digest=0x" << std::hex << digest;
+  }
+}
+
 TEST(BipartiteRegular, EvenGirthAtLeastFour) {
   Rng rng(83);
   const auto inst = make_random_bipartite_regular(128, 3, rng);
@@ -101,6 +157,41 @@ TEST(ProperEdgeColoring, DetectsViolations) {
   EXPECT_FALSE(is_proper_edge_coloring(g, {0, 0}, 2));   // meet at node 1
   EXPECT_FALSE(is_proper_edge_coloring(g, {0, 2}, 2));   // out of range
   EXPECT_FALSE(is_proper_edge_coloring(g, {0}, 2));      // wrong size
+}
+
+TEST(ProperEdgeColoring, ColoursReusedAcrossNodes) {
+  // Path 0-1-2-3-4: every node may reuse the colours its predecessor used.
+  const Graph g = make_path(5);
+  EXPECT_TRUE(is_proper_edge_coloring(g, {0, 1, 0, 1}, 2));
+  EXPECT_FALSE(is_proper_edge_coloring(g, {0, 1, 1, 0}, 2));  // at node 2
+  EXPECT_FALSE(is_proper_edge_coloring(g, {0, -1, 0, 1}, 2));  // negative
+  EXPECT_FALSE(is_proper_edge_coloring(g, {0, 1, 0, 1, 0}, 2));  // too long
+  EXPECT_TRUE(is_proper_edge_coloring(Graph::from_edges(3, {}), {}, 0));
+}
+
+TEST(ProperEdgeColoring, FindsAClashAtTheLastNode) {
+  Rng rng(0xC01);
+  auto inst = make_random_bipartite_regular(300, 4, rng);
+  ASSERT_TRUE(
+      is_proper_edge_coloring(inst.graph, inst.edge_color, inst.num_colors));
+  const NodeId last = inst.graph.num_nodes() - 1;
+  const auto edges = inst.graph.incident_edges(last);
+  inst.edge_color[static_cast<std::size_t>(edges[1])] =
+      inst.edge_color[static_cast<std::size_t>(edges[0])];
+  EXPECT_FALSE(
+      is_proper_edge_coloring(inst.graph, inst.edge_color, inst.num_colors));
+}
+
+TEST(ProperEdgeColoring, OneScratchVectorPerCheck) {
+  CKP_SKIP_IF_COUNTERS_IDLE();
+  Rng rng(0xC02);
+  const auto inst = make_random_bipartite_regular(1 << 11, 3, rng);
+  AllocScope scope;
+  const bool proper =
+      is_proper_edge_coloring(inst.graph, inst.edge_color, inst.num_colors);
+  const std::uint64_t allocations = scope.allocations();
+  EXPECT_TRUE(proper);
+  EXPECT_LE(allocations, 1u);
 }
 
 // ---------------------------------------------------------------------------

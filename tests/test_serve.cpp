@@ -649,6 +649,24 @@ TEST(ServeServer, RejectsProtocolAbuse) {
   EXPECT_EQ(server.counter("serve.errors"), errors);
 }
 
+// The pipe transport's backpressure: waiting for room between lines turns a
+// burst past the queue limit into queued work instead of rejections.
+TEST(ServeServer, WaitForRoomAdmitsABurstPastTheLimit) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 1;
+  options.queue_limit = 2;
+  JobServer server(options, log.sink());
+  for (int i = 0; i < 12; ++i) {
+    server.handle_line(run_job_line("w" + std::to_string(i), "spin",
+                                    ",\"max_rounds\":500"));
+    server.wait_for_room();
+  }
+  server.drain();
+  EXPECT_EQ(server.counter("serve.jobs_rejected"), 0.0);
+  EXPECT_EQ(server.counter("serve.jobs_completed"), 12.0);
+}
+
 // A request that fails to parse is answered with the check's message only:
 // never the checked expression or the source path of the check.
 TEST(ServeServer, ParseErrorsCarryNoSourceInternals) {

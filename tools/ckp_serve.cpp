@@ -4,6 +4,8 @@
 //
 //   * pipe mode (default): requests are JSONL on stdin, responses are JSONL
 //     on stdout. One process per batch; EOF or {"op":"shutdown"} ends it.
+//     The reader stops reading while --queue_limit jobs are in flight, so
+//     a batch of any length runs to completion without "queue full" errors.
 //
 //       ckp_serve --store_dir=STORE --workers=4 < jobs.jsonl
 //
@@ -25,7 +27,8 @@
 // interrupted by a signal (EINTR) are retried.
 //
 // Flags: --workers (worker threads = concurrent jobs), --queue_limit
-// (queued plus running jobs), --engine_threads (rounds parallelism per job;
+// (queued plus running jobs; socket mode rejects past it, pipe mode
+// waits), --engine_threads (rounds parallelism per job;
 // only effective with --workers=1), --store_dir (result memo; empty
 // disables), --heartbeat_every (seconds between serve.jobs liveness lines
 // on stderr; 0 = off).
@@ -139,9 +142,11 @@ void send_line(Conn& conn, const std::string& line) {
 }
 
 // Feeds the request lines read from `fd` to `server` under tag `client` and
-// answers an oversized line on `out` itself. Returns false once a line was
-// a shutdown request (after the server drained), true at EOF.
-bool serve_lines(JobServer& server, int fd, Conn& out, std::uint64_t client) {
+// answers an oversized line on `out` itself. With `wait_for_room` the
+// reader stops reading while the server's queue is full. Returns false once
+// a line was a shutdown request (after the server drained), true at EOF.
+bool serve_lines(JobServer& server, int fd, Conn& out, std::uint64_t client,
+                 bool wait_for_room) {
   FdLineReader reader(fd);
   std::string line;
   for (;;) {
@@ -159,6 +164,7 @@ bool serve_lines(JobServer& server, int fd, Conn& out, std::uint64_t client) {
       }
       case FdLineReader::Next::kLine:
         if (!server.handle_line(line, client)) return false;
+        if (wait_for_room) server.wait_for_room();
         break;
     }
   }
@@ -169,10 +175,11 @@ int run_pipe_mode(const ServerOptions& options) {
   out.fd = 1;  // stdout
   JobServer server(options,
                    [&out](const std::string& line) { send_line(out, line); });
-  // EOF drains like a shutdown so piped batches always get every terminal
-  // response before exit (the destructor drains too; this makes it
-  // explicit).
-  if (serve_lines(server, 0, out, 0)) server.drain();
+  // A pipe has no client that could retry a "queue full" rejection, so the
+  // reader waits for room instead. EOF drains like a shutdown so piped
+  // batches always get every terminal response before exit (the destructor
+  // drains too; this makes it explicit).
+  if (serve_lines(server, 0, out, 0, /*wait_for_room=*/true)) server.drain();
   return 0;
 }
 
@@ -265,7 +272,7 @@ int run_socket_mode(const ServerOptions& options, const std::string& path) {
     reader.done = std::make_unique<std::atomic<bool>>(false);
     reader.thread = std::thread([&, fd, client, done = reader.done.get()] {
       const std::shared_ptr<Conn> conn = conns.find(client);
-      if (!serve_lines(server, fd, *conn, client)) {
+      if (!serve_lines(server, fd, *conn, client, /*wait_for_room=*/false)) {
         // Shutdown already drained every client's jobs; close the listener
         // and half-close all peers so the accept loop and the other readers
         // unwind.
