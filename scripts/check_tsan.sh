@@ -7,7 +7,9 @@
 # thread_local scratch — both thread-invariance tests drive it at 2 and 8
 # threads) fails the script. After the roster, the JobServer tests run ten
 # more times in a row, to shake out interleavings of the serve workers,
-# transport threads and drain.
+# transport threads and drain. Last, bench_scale runs at n = 2^12 on 4
+# threads: the serve registry's engine roster on the work-stealing and
+# static schedules, and the sharded streamed generator.
 #
 #   scripts/check_tsan.sh [BUILD_DIR]
 set -euo pipefail
@@ -23,7 +25,7 @@ if command -v cmake >/dev/null && cmake --list-presets >/dev/null 2>&1; then
 else
   cmake -B "$BUILD_DIR" -S . -DCKP_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 fi
-cmake --build "$BUILD_DIR" -j --target "${TESTS[@]}"
+cmake --build "$BUILD_DIR" -j --target "${TESTS[@]}" bench_scale
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export CKP_THREADS="${CKP_THREADS:-4}"
@@ -34,4 +36,7 @@ done
 echo "== test_serve ServeServer.* x10 (TSan, CKP_THREADS=$CKP_THREADS)"
 "$BUILD_DIR/tests/test_serve" --gtest_brief=1 --gtest_filter='ServeServer.*' \
   --gtest_repeat=10
-echo "TSan clean: ${TESTS[*]}"
+echo "== bench_scale n=2^12 (TSan, threads=4)"
+"$BUILD_DIR/bench/bench_scale" --min-exp=12 --max-exp=12 --threads=4 \
+  --assert-budget
+echo "TSan clean: ${TESTS[*]} bench_scale"

@@ -68,59 +68,60 @@ std::uint64_t digest_vec(const std::vector<T>& v) {
                                   v.size() * sizeof(T)));
 }
 
+// Copies the fields every engine result struct shares.
+template <typename Result>
+AlgoRun take(const Result& r) {
+  AlgoRun out;
+  out.rounds = r.rounds;
+  out.completed = r.completed;
+  out.engine_bytes = r.engine_bytes;
+  return out;
+}
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
 // ---------------------------------------------------------------------------
-// Adapters. Each is a stateless wrapper over one packed roster entry; the
-// version stamp starts at 1 and must be bumped whenever the wrapped
-// algorithm's output for a fixed (graph, params, seed) changes.
+// Adapters. Each is a stateless wrapper over one packed roster entry; its
+// name, version and LOCAL model come from the table in algorithm_entries().
+// MisOutput and DeltaColoringOutput own the verifier their entries share.
 
-class LubyAlgo final : public Algorithm {
+class MisOutput : public Algorithm {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "luby";
-    return kName;
+  using Algorithm::Algorithm;
+  bool verify(const LocalInput& input, const KV&,
+              const AlgoRun& run) const final {
+    return verify_mis(*input.graph, run.flags).ok;
   }
-  int version() const override { return 2; }  // 2: keyed draws
-  bool randomized() const override { return true; }
-  bool needs_edge_labels() const override { return false; }
+};
 
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+class LubyAlgo final : public MisOutput {
+ public:
+  using MisOutput::MisOutput;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params, {});
-    const MisResult r = mis_luby(input, max_rounds, options);
-    AlgoRun out;
-    out.rounds = r.rounds;
-    out.completed = r.completed;
-    out.engine_bytes = r.engine_bytes;
-    out.output_digest = digest_vec(r.in_set);
-    out.verified = r.completed && verify_mis(*input.graph, r.in_set).ok;
+    MisResult r = mis_luby(input, max_rounds, options);
+    AlgoRun out = take(r);
+    out.flags = std::move(r.in_set);
     return out;
   }
 };
 
-class GhaffariAlgo final : public Algorithm {
+class GhaffariAlgo final : public MisOutput {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "ghaffari";
-    return kName;
-  }
-  int version() const override { return 2; }  // 2: keyed draws
-  bool randomized() const override { return true; }
-  bool needs_edge_labels() const override { return false; }
-
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+  using MisOutput::MisOutput;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params, {"phase1_iterations"});
     GhaffariMisParams p;
     p.phase1_iterations =
-        static_cast<int>(kv_int(params, "phase1_iterations", 0));
-    const GhaffariLocalResult r =
+        static_cast<int>(kv_int(params, "phase1_iterations", 0, 0, kIntMax));
+    GhaffariLocalResult r =
         mis_ghaffari_local(input, max_rounds, options, p);
-    AlgoRun out;
-    out.rounds = r.rounds;
-    out.completed = r.completed;
-    out.engine_bytes = r.engine_bytes;
-    out.output_digest = digest_vec(r.in_set);
-    out.verified = r.completed && verify_mis(*input.graph, r.in_set).ok;
+    AlgoRun out = take(r);
+    out.flags = std::move(r.in_set);
     out.metrics.emplace_back("phase1_rounds",
                              static_cast<double>(r.phase1_rounds));
     out.metrics.emplace_back("residue_nodes",
@@ -134,124 +135,96 @@ class GhaffariAlgo final : public Algorithm {
 
 class MatchingAlgo final : public Algorithm {
  public:
-  explicit MatchingAlgo(bool randomized) : randomized_(randomized) {}
-
-  const std::string& name() const override {
-    static const std::string kRand = "matching_rand";
-    static const std::string kDet = "matching_det";
-    return randomized_ ? kRand : kDet;
-  }
-  int version() const override { return 1; }
-  bool randomized() const override { return randomized_; }
-  bool needs_edge_labels() const override { return false; }
-
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+  using Algorithm::Algorithm;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params, {});
-    const MatchingLocalResult r =
-        randomized_ ? matching_randomized_local(input, max_rounds, options)
-                    : matching_deterministic_local(input, max_rounds, options);
-    AlgoRun out;
-    out.rounds = r.rounds;
-    out.completed = r.completed;
-    out.engine_bytes = r.engine_bytes;
-    out.output_digest = digest_vec(r.in_matching);
-    out.verified =
-        r.completed &&
-        verify_maximal_matching(*input.graph, r.in_matching).ok;
+    MatchingLocalResult r =
+        randomized()
+            ? matching_randomized_local(input, max_rounds, options)
+            : matching_deterministic_local(input, max_rounds, options);
+    AlgoRun out = take(r);
+    out.flags = std::move(r.in_matching);
     return out;
   }
-
- private:
-  bool randomized_;
+  bool verify(const LocalInput& input, const KV&,
+              const AlgoRun& run) const override {
+    return verify_maximal_matching(*input.graph, run.flags).ok;
+  }
 };
 
-class ColoringAlgo final : public Algorithm {
+// plus_one (RandLOCAL) and greedy (DetLOCAL): (Δ+1)-coloring, or a
+// `palette` param of at least Δ+1.
+class PlusOneAlgo final : public Algorithm {
  public:
-  explicit ColoringAlgo(bool randomized) : randomized_(randomized) {}
-
-  const std::string& name() const override {
-    static const std::string kRand = "plus_one";
-    static const std::string kDet = "greedy";
-    return randomized_ ? kRand : kDet;
-  }
-  // plus_one is at 2 since its draws became keyed; greedy never drew.
-  int version() const override { return randomized_ ? 2 : 1; }
-  bool randomized() const override { return randomized_; }
-  bool needs_edge_labels() const override { return false; }
-
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+  using Algorithm::Algorithm;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params, {"palette"});
-    const int palette = static_cast<int>(kv_int(params, "palette", 0));
+    const int palette = static_cast<int>(kv_int(params, "palette", 0, 0,
+                                                kIntMax));
     AlgoRun out;
-    std::vector<int> colors;
-    if (randomized_) {
+    if (randomized()) {
       PlusOneLocalResult r = plus_one_local(input, palette, max_rounds,
                                             options);
-      out.rounds = r.rounds;
-      out.completed = r.completed;
-      out.engine_bytes = r.engine_bytes;
-      colors = std::move(r.colors);
+      out = take(r);
+      out.colors = std::move(r.colors);
     } else {
       GreedyColorLocalResult r = greedy_color_local(input, palette,
                                                     max_rounds, options);
-      out.rounds = r.rounds;
-      out.completed = r.completed;
-      out.engine_bytes = r.engine_bytes;
-      colors = std::move(r.colors);
+      out = take(r);
+      out.colors = std::move(r.colors);
     }
-    const int k = palette > 0 ? palette : input.graph->max_degree() + 1;
-    out.output_digest = digest_vec(colors);
-    out.verified =
-        out.completed && verify_coloring(*input.graph, colors, k).ok;
     return out;
   }
-
- private:
-  bool randomized_;
+  bool verify(const LocalInput& input, const KV& params,
+              const AlgoRun& run) const override {
+    const auto k = static_cast<int>(kv_int(params, "palette", 0, 0, kIntMax));
+    return verify_coloring(*input.graph, run.colors,
+                           k > 0 ? k : input.graph->max_degree() + 1)
+        .ok;
+  }
 };
 
 class SinklessAlgo final : public Algorithm {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "sinkless";
-    return kName;
-  }
-  int version() const override { return 2; }  // 2: keyed draws
-  bool randomized() const override { return true; }
-  bool needs_edge_labels() const override { return true; }
-
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+  using Algorithm::Algorithm;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params, {});
-    const SinklessLocalResult r = sinkless_local(input, max_rounds, options);
-    AlgoRun out;
-    out.rounds = r.rounds;
-    out.completed = r.completed;
-    out.engine_bytes = r.engine_bytes;
-    out.output_digest = digest_vec(r.orient);
-    out.verified =
-        r.completed &&
-        verify_sinkless_orientation(*input.graph, r.orient).ok;
+    SinklessLocalResult r = sinkless_local(input, max_rounds, options);
+    AlgoRun out = take(r);
+    out.orient = std::move(r.orient);
     out.metrics.emplace_back("unsatisfied",
                              static_cast<double>(r.unsatisfied));
     return out;
   }
+  bool verify(const LocalInput& input, const KV&,
+              const AlgoRun& run) const override {
+    return verify_sinkless_orientation(*input.graph, run.orient).ok;
+  }
 };
 
-class Thm10Algo final : public Algorithm {
+// The paper's Δ-colorings (Theorems 10 and 11): Δ colors.
+class DeltaColoringOutput : public Algorithm {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "thm10";
-    return kName;
+  using Algorithm::Algorithm;
+  bool verify(const LocalInput& input, const KV&,
+              const AlgoRun& run) const final {
+    return verify_coloring(*input.graph, run.colors, input.effective_delta())
+        .ok;
   }
-  int version() const override { return 2; }  // 2: keyed draws
-  bool randomized() const override { return true; }
-  bool needs_edge_labels() const override { return false; }
+};
 
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+class Thm10Algo final : public DeltaColoringOutput {
+ public:
+  using DeltaColoringOutput::DeltaColoringOutput;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params,
                  {"alpha", "growth_divisor", "cap_exponent",
                   "max_iterations"});
@@ -260,18 +233,11 @@ class Thm10Algo final : public Algorithm {
     p.growth_divisor = kv_double(params, "growth_divisor", p.growth_divisor);
     p.cap_exponent = kv_double(params, "cap_exponent", p.cap_exponent);
     p.max_iterations = static_cast<int>(
-        kv_int(params, "max_iterations", p.max_iterations));
-    const Thm10LocalResult r =
+        kv_int(params, "max_iterations", p.max_iterations, 1, kIntMax));
+    Thm10LocalResult r =
         delta_coloring_thm10_local(input, max_rounds, options, p);
-    AlgoRun out;
-    out.rounds = r.rounds;
-    out.completed = r.completed;
-    out.engine_bytes = r.engine_bytes;
-    out.output_digest = digest_vec(r.colors);
-    out.verified =
-        r.completed &&
-        verify_coloring(*input.graph, r.colors,
-                        input.effective_delta()).ok;
+    AlgoRun out = take(r);
+    out.colors = std::move(r.colors);
     out.metrics.emplace_back("phase1_iterations",
                              static_cast<double>(r.phase1_iterations));
     out.metrics.emplace_back("bad_vertices",
@@ -282,30 +248,17 @@ class Thm10Algo final : public Algorithm {
   }
 };
 
-class Thm11Algo final : public Algorithm {
+class Thm11Algo final : public DeltaColoringOutput {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "thm11";
-    return kName;
-  }
-  int version() const override { return 2; }  // 2: keyed draws
-  bool randomized() const override { return true; }
-  bool needs_edge_labels() const override { return false; }
-
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+  using DeltaColoringOutput::DeltaColoringOutput;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params, {});
-    const Thm11LocalResult r =
+    Thm11LocalResult r =
         delta_coloring_thm11_local(input, max_rounds, options);
-    AlgoRun out;
-    out.rounds = r.rounds;
-    out.completed = r.completed;
-    out.engine_bytes = r.engine_bytes;
-    out.output_digest = digest_vec(r.colors);
-    out.verified =
-        r.completed &&
-        verify_coloring(*input.graph, r.colors,
-                        input.effective_delta()).ok;
+    AlgoRun out = take(r);
+    out.colors = std::move(r.colors);
     out.metrics.emplace_back("phase2_set_size",
                              static_cast<double>(r.phase2_set_size));
     out.metrics.emplace_back(
@@ -317,18 +270,13 @@ class Thm11Algo final : public Algorithm {
   }
 };
 
+// A serve fixture that never halts: it exercises budgets and cancellation.
 class SpinAlgo final : public Algorithm {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "spin";
-    return kName;
-  }
-  int version() const override { return 1; }
-  bool randomized() const override { return true; }
-  bool needs_edge_labels() const override { return false; }
-
-  AlgoRun run(const LocalInput& input, int max_rounds,
-              const EngineOptions& options, const KV& params) const override {
+  using Algorithm::Algorithm;
+  AlgoRun execute(const LocalInput& input, int max_rounds,
+                  const EngineOptions& options,
+                  const KV& params) const override {
     check_params(name(), params, {});
     detail::SpinNode algo;
     const EngineResult<detail::SpinNode> r =
@@ -336,7 +284,6 @@ class SpinAlgo final : public Algorithm {
     AlgoRun out;
     out.rounds = r.rounds;
     out.completed = false;  // by construction: spin never halts
-    out.verified = false;
     out.engine_bytes = r.engine_bytes;
     std::uint64_t acc = 0xcbf29ce484222325ULL;
     for (const detail::SpinNode::State& s : r.states) {
@@ -345,9 +292,64 @@ class SpinAlgo final : public Algorithm {
     out.output_digest = acc;
     return out;
   }
+  bool verify(const LocalInput&, const KV&, const AlgoRun&) const override {
+    return false;
+  }
+
+ private:
+  std::uint64_t digest(const AlgoRun& run) const override {
+    return run.output_digest;  // set by execute()
+  }
 };
 
+// The registry table: each algorithm's traits and its adapter, in roster
+// order.
+struct Entry {
+  AlgorithmTraits traits;
+  std::unique_ptr<Algorithm> (*make)(const AlgorithmTraits&);
+};
+
+template <typename Adapter>
+std::unique_ptr<Algorithm> make(const AlgorithmTraits& traits) {
+  return std::make_unique<Adapter>(traits);
+}
+
+const std::vector<Entry>& algorithm_entries() {
+  constexpr bool kRand = true;
+  constexpr bool kDet = false;
+  constexpr bool kLabels = true;
+  // Version 2 on RandLOCAL entries: their draws became keyed.
+  static const std::vector<Entry> kEntries = {
+      {{"luby", 2, kRand, false}, make<LubyAlgo>},
+      {{"ghaffari", 2, kRand, false}, make<GhaffariAlgo>},
+      {{"matching_rand", 1, kRand, false}, make<MatchingAlgo>},
+      {{"matching_det", 1, kDet, false}, make<MatchingAlgo>},
+      {{"plus_one", 2, kRand, false}, make<PlusOneAlgo>},
+      {{"greedy", 1, kDet, false}, make<PlusOneAlgo>},
+      {{"sinkless", 2, kRand, kLabels}, make<SinklessAlgo>},
+      {{"spin", 1, kRand, false}, make<SpinAlgo>},
+      {{"thm10", 2, kRand, false}, make<Thm10Algo>},
+      {{"thm11", 2, kRand, false}, make<Thm11Algo>},
+  };
+  return kEntries;
+}
+
 }  // namespace
+
+AlgoRun Algorithm::run(const LocalInput& input, int max_rounds,
+                       const EngineOptions& options, const KV& params) const {
+  AlgoRun out = execute(input, max_rounds, options, params);
+  out.output_digest = digest(out);
+  out.verified = out.completed && verify(input, params, out);
+  return out;
+}
+
+std::uint64_t Algorithm::digest(const AlgoRun& run) const {
+  // An adapter fills exactly one typed output.
+  if (!run.colors.empty()) return digest_vec(run.colors);
+  if (!run.orient.empty()) return digest_vec(run.orient);
+  return digest_vec(run.flags);
+}
 
 std::string GraphSpec::canonical() const {
   std::ostringstream out;
@@ -406,24 +408,18 @@ BuiltGraph build_graph(const GraphSpec& spec) {
 }
 
 const std::vector<std::string>& algorithm_roster() {
-  static const std::vector<std::string> kNames = {
-      "luby",   "ghaffari", "matching_rand", "matching_det",
-      "plus_one", "greedy",   "sinkless",      "spin",
-      "thm10",  "thm11"};
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const Entry& e : algorithm_entries()) names.push_back(e.traits.name);
+    return names;
+  }();
   return kNames;
 }
 
 std::unique_ptr<Algorithm> make_algorithm(const std::string& name) {
-  if (name == "luby") return std::make_unique<LubyAlgo>();
-  if (name == "ghaffari") return std::make_unique<GhaffariAlgo>();
-  if (name == "matching_rand") return std::make_unique<MatchingAlgo>(true);
-  if (name == "matching_det") return std::make_unique<MatchingAlgo>(false);
-  if (name == "plus_one") return std::make_unique<ColoringAlgo>(true);
-  if (name == "greedy") return std::make_unique<ColoringAlgo>(false);
-  if (name == "sinkless") return std::make_unique<SinklessAlgo>();
-  if (name == "spin") return std::make_unique<SpinAlgo>();
-  if (name == "thm10") return std::make_unique<Thm10Algo>();
-  if (name == "thm11") return std::make_unique<Thm11Algo>();
+  for (const Entry& e : algorithm_entries()) {
+    if (e.traits.name == name) return e.make(e.traits);
+  }
   CKP_CHECK_MSG(false, "unknown algorithm \"" << name << "\"; valid: "
                                               << joined(algorithm_roster()));
   return nullptr;
@@ -449,7 +445,7 @@ LocalInput prepare_input(const Algorithm& algo, const BuiltGraph& built,
 }
 
 std::int64_t kv_int(const KV& params, const std::string& key,
-                    std::int64_t def) {
+                    std::int64_t def, std::int64_t lo, std::int64_t hi) {
   const auto it = params.find(key);
   if (it == params.end()) return def;
   const std::string& v = it->second;
@@ -461,6 +457,9 @@ std::int64_t kv_int(const KV& params, const std::string& key,
                 "param " << key << " is not an integer: " << v);
   CKP_CHECK_MSG(errno != ERANGE,
                 "param " << key << " is out of range for int64: " << v);
+  CKP_CHECK_MSG(out >= lo && out <= hi, "param " << key << " = " << out
+                                                  << " is outside [" << lo
+                                                  << ", " << hi << "]");
   return out;
 }
 

@@ -1,13 +1,14 @@
-// String-keyed algorithm registry and graph-spec builder for the job
-// server.
+// String-keyed algorithm registry and graph-spec builder.
 //
-// The benches bind algorithms at compile time; the server binds them by
-// name at admission time: a job names an algorithm ("luby", "greedy", ...),
-// a graph family, KV params, and a seed, and make_algorithm() returns the
-// adapter that builds the LocalInput and runs the packed roster entry
-// behind it. Every adapter carries a version stamp — part of the memo key
-// (src/serve/memo.hpp), so changing an algorithm's output for a given input
-// invalidates its cached results by construction.
+// The registry is the one place that knows how to run and verify each
+// engine algorithm. The job server binds an algorithm by name at admission
+// time: a job names an algorithm ("luby", "greedy", ...), a graph family,
+// KV params, and a seed, and make_algorithm() returns the adapter that runs
+// the packed roster entry behind it. bench_scale (E18) loops over the same
+// adapters, timing execute() and then calling verify(). Every adapter
+// carries a version stamp — part of the memo key (src/serve/memo.hpp), so
+// changing an algorithm's output for a given input invalidates its cached
+// results by construction.
 //
 // Fail-on-typo stance throughout, matching Flags: unknown algorithm names,
 // unknown graph families, and unknown param keys all throw CheckFailure
@@ -63,37 +64,71 @@ const std::vector<std::string>& graph_family_roster();
 struct AlgoRun {
   int rounds = 0;
   bool completed = false;  // ran to its own halt (not capped or budgeted)
-  bool verified = false;   // output checked by the matching LCL verifier
+  bool verified = false;   // completed and accepted by Algorithm::verify
   std::uint64_t engine_bytes = 0;
   // FNV-1a over the canonical output bytes (MIS membership, colors,
-  // matching, orientation). Two runs produced the same solution iff the
-  // digests match — the determinism witness the memo differential tests
-  // compare without shipping whole solutions through the protocol.
+  // matching, orientation), set by Algorithm::run. Two runs produced the
+  // same solution iff the digests match — the determinism witness the memo
+  // differential tests compare without shipping whole solutions through
+  // the protocol.
   std::uint64_t output_digest = 0;
   std::vector<std::pair<std::string, double>> metrics;  // adapter extras
+
+  // The typed output; an adapter fills the one its output kind uses.
+  std::vector<char> flags;           // MIS membership per node, or the
+                                     // matching's edges per edge
+  std::vector<int> colors;           // a color per node
+  std::vector<std::int8_t> orient;   // ±1 per edge (an Orientation)
+};
+
+// What the registry table fixes about an algorithm besides how to run it.
+struct AlgorithmTraits {
+  std::string name;
+  // Monotone stamp keyed into the serve memo; bump whenever the algorithm's
+  // output for a fixed (graph, params, seed) can change.
+  int version = 1;
+  // RandLOCAL (true): input gets no IDs, seed drives private randomness.
+  // DetLOCAL (false): prepare_input installs sequential IDs.
+  bool randomized = true;
+  // True for algorithms that consume input.edge_labels (sinkless); the
+  // graph family must provide a coloring.
+  bool needs_edge_labels = false;
 };
 
 // One registered algorithm: a stateless adapter from (input, params) to the
 // packed roster entry it wraps. Budgets ride in EngineOptions::budget.
 class Algorithm {
  public:
+  explicit Algorithm(AlgorithmTraits traits) : traits_(std::move(traits)) {}
   virtual ~Algorithm() = default;
 
-  virtual const std::string& name() const = 0;
-  // Monotone stamp keyed into the serve memo; bump whenever the algorithm's
-  // output for a fixed (graph, params, seed) can change.
-  virtual int version() const = 0;
-  // RandLOCAL (true): input gets no IDs, seed drives private randomness.
-  // DetLOCAL (false): the adapter installs sequential IDs.
-  virtual bool randomized() const = 0;
-  // True for algorithms that consume input.edge_labels (sinkless); the
-  // graph family must provide a coloring.
-  virtual bool needs_edge_labels() const = 0;
+  const std::string& name() const { return traits_.name; }
+  int version() const { return traits_.version; }
+  bool randomized() const { return traits_.randomized; }
+  bool needs_edge_labels() const { return traits_.needs_edge_labels; }
 
-  // Runs the algorithm. `input` is fully prepared by prepare_input();
-  // `params` beyond the adapter's declared keys throw CheckFailure.
-  virtual AlgoRun run(const LocalInput& input, int max_rounds,
-                      const EngineOptions& options, const KV& params) const = 0;
+  // The engine run alone: fills everything but `verified` and
+  // `output_digest`. `input` is fully prepared by prepare_input(); `params`
+  // beyond the adapter's declared keys throw CheckFailure.
+  virtual AlgoRun execute(const LocalInput& input, int max_rounds,
+                          const EngineOptions& options,
+                          const KV& params) const = 0;
+  // The entry's LCL verifier on `run`'s typed output; completion is the
+  // caller's concern.
+  virtual bool verify(const LocalInput& input, const KV& params,
+                      const AlgoRun& run) const = 0;
+
+  // execute(), then the output digest and verified = completed &&
+  // verify().
+  AlgoRun run(const LocalInput& input, int max_rounds,
+              const EngineOptions& options, const KV& params) const;
+
+ private:
+  // FNV-1a over the bytes of the typed output; spin, which has none,
+  // digests its node states instead.
+  virtual std::uint64_t digest(const AlgoRun& run) const;
+
+  AlgorithmTraits traits_;
 };
 
 // Registry lookup; throws CheckFailure for unknown names, listing the
@@ -107,9 +142,10 @@ const std::vector<std::string>& algorithm_roster();
 LocalInput prepare_input(const Algorithm& algo, const BuiltGraph& built,
                          std::uint64_t seed);
 
-// Typed KV reads with the Flags parsing/rejection semantics.
+// Typed KV reads with the Flags parsing/rejection semantics. kv_int throws
+// unless a present value lies in [lo, hi]; an absent key returns `def`.
 std::int64_t kv_int(const KV& params, const std::string& key,
-                    std::int64_t def);
+                    std::int64_t def, std::int64_t lo, std::int64_t hi);
 bool kv_bool(const KV& params, const std::string& key, bool def);
 double kv_double(const KV& params, const std::string& key, double def);
 

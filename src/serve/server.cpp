@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -37,16 +38,26 @@ double number_field(const JsonValue& doc, const std::string& name,
   return v->as_number();
 }
 
-// Integer-valued JSON number; rejects fractional values so "n":10.5 cannot
-// silently truncate.
+// Bounds for int_field: JSON integers beyond 1e15 are rejected outright.
+constexpr std::int64_t kJsonIntMax = 1'000'000'000'000'000;
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+// Integer-valued JSON number in [lo, hi]; rejects fractional values so
+// "n":10.5 cannot silently truncate, and out-of-range ones so
+// "max_rounds":4294967297 cannot wrap to 1 when narrowed to int.
 std::int64_t int_field(const JsonValue& doc, const std::string& name,
-                       std::int64_t def) {
+                       std::int64_t def, std::int64_t lo, std::int64_t hi) {
   const JsonValue* v = doc.find(name);
   if (v == nullptr) return def;
   const double num = v->as_number();
-  CKP_CHECK_MSG(num == std::floor(num) && std::abs(num) <= 1e15,
+  CKP_CHECK_MSG(num == std::floor(num) &&
+                    std::abs(num) <= static_cast<double>(kJsonIntMax),
                 "field " << name << " is not an integer");
-  return static_cast<std::int64_t>(num);
+  const auto out = static_cast<std::int64_t>(num);
+  CKP_CHECK_MSG(out >= lo && out <= hi, "field " << name << " = " << out
+                                                  << " is outside [" << lo
+                                                  << ", " << hi << "]");
+  return out;
 }
 
 bool bool_field(const JsonValue& doc, const std::string& name, bool def) {
@@ -205,15 +216,16 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
     CKP_CHECK_MSG(graph.is_object(), "field graph must be an object");
     check_members(graph, {"family", "n", "d", "gseed"});
     job->graph.family = graph.at("family").as_string();
-    job->graph.n = static_cast<std::uint64_t>(int_field(graph, "n", 0));
-    job->graph.d = static_cast<int>(int_field(graph, "d", 0));
-    job->graph.seed =
-        static_cast<std::uint64_t>(int_field(graph, "gseed", 0));
+    job->graph.n =
+        static_cast<std::uint64_t>(int_field(graph, "n", 0, 0, kJsonIntMax));
+    job->graph.d = static_cast<int>(int_field(graph, "d", 0, 0, kIntMax));
+    job->graph.seed = static_cast<std::uint64_t>(
+        int_field(graph, "gseed", 0, 0, kJsonIntMax));
 
-    job->seed = static_cast<std::uint64_t>(int_field(doc, "seed", 1));
+    job->seed =
+        static_cast<std::uint64_t>(int_field(doc, "seed", 1, 0, kJsonIntMax));
     job->max_rounds =
-        static_cast<int>(int_field(doc, "max_rounds", 1 << 20));
-    CKP_CHECK_MSG(job->max_rounds >= 1, "max_rounds must be >= 1");
+        static_cast<int>(int_field(doc, "max_rounds", 1 << 20, 1, kIntMax));
     job->no_memo = bool_field(doc, "no_memo", false);
 
     if (const JsonValue* params = doc.find("params")) {
@@ -235,8 +247,8 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
           std::chrono::duration_cast<SteadyClock::duration>(
               std::chrono::duration<double, std::milli>(deadline_ms));
     }
-    job->budget->step_limit =
-        static_cast<std::uint64_t>(int_field(doc, "step_limit", 0));
+    job->budget->step_limit = static_cast<std::uint64_t>(
+        int_field(doc, "step_limit", 0, 0, kJsonIntMax));
 
     job->facts.algorithm = job->algo->name();
     job->facts.algo_version = job->algo->version();

@@ -13,6 +13,7 @@
 //   * a cancelled job terminates with cancelled=true and is never memoized.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -103,12 +104,21 @@ TEST(ServeRegistry, BuildGraphFamilies) {
                CheckFailure);
 }
 
+// The input each roster entry verifies on: the Δ-colorings need a forest
+// and a degree Theorem 10's reserved palette admits, and sinkless needs an
+// edge coloring and verifies at Δ=8 (it fails its verifier at Δ=3).
+GraphSpec verifying_spec(const std::string& name) {
+  if (name == "thm10" || name == "thm11") {
+    return GraphSpec{"complete_tree", 1024, 16, 0};
+  }
+  if (name == "sinkless") return GraphSpec{"bipartite_regular", 512, 8, 3};
+  return GraphSpec{"random_regular", 128, 4, 3};
+}
+
 TEST(ServeRegistry, AdaptersRunAndVerify) {
-  const GraphSpec spec{"random_regular", 128, 4, 3};
-  const BuiltGraph built = build_graph(spec);
-  for (const std::string name :
-       {"luby", "ghaffari", "matching_rand", "matching_det", "plus_one",
-        "greedy"}) {
+  for (const std::string& name : algorithm_roster()) {
+    if (name == "spin") continue;  // never halts; SpinNeverCompletes
+    const BuiltGraph built = build_graph(verifying_spec(name));
     const auto algo = make_algorithm(name);
     const LocalInput input = prepare_input(*algo, built, 5);
     EXPECT_EQ(input.has_ids(), !algo->randomized()) << name;
@@ -118,6 +128,47 @@ TEST(ServeRegistry, AdaptersRunAndVerify) {
     EXPECT_GT(run.rounds, 0) << name;
     EXPECT_NE(run.output_digest, 0u) << name;
   }
+}
+
+// verify() is the entry's LCL verifier on the typed output: it accepts what
+// execute() produced and rejects one corruption of each output kind.
+TEST(ServeRegistry, VerifyRejectsCorruptedOutputs) {
+  const auto corrupt_and_check = [](const std::string& name, auto&& corrupt) {
+    const BuiltGraph built = build_graph(verifying_spec(name));
+    const auto algo = make_algorithm(name);
+    const LocalInput input = prepare_input(*algo, built, 5);
+    AlgoRun run = algo->execute(input, 1 << 16, EngineOptions{}, {});
+    ASSERT_TRUE(run.completed) << name;
+    EXPECT_TRUE(algo->verify(input, {}, run)) << name;
+    corrupt(built.graph, run);
+    EXPECT_FALSE(algo->verify(input, {}, run)) << name;
+  };
+  const auto first = [](const std::vector<char>& flags) {
+    const auto it = std::find(flags.begin(), flags.end(), 1);
+    EXPECT_NE(it, flags.end());
+    return static_cast<std::size_t>(it - flags.begin());
+  };
+  // A flipped MIS flag: the dropped node has no neighbor in the set.
+  corrupt_and_check("luby", [&](const Graph&, AlgoRun& run) {
+    run.flags[first(run.flags)] = 0;
+  });
+  // A dropped matching edge: both endpoints are free and adjacent.
+  corrupt_and_check("matching_det", [&](const Graph&, AlgoRun& run) {
+    run.flags[first(run.flags)] = 0;
+  });
+  // A color clash: node 0 takes its first neighbor's color.
+  for (const char* name : {"greedy", "thm10"}) {
+    corrupt_and_check(name, [](const Graph& g, AlgoRun& run) {
+      run.colors[0] = run.colors[static_cast<std::size_t>(g.neighbors(0)[0])];
+    });
+  }
+  // A sink: every edge at node 0 points into it.
+  corrupt_and_check("sinkless", [](const Graph& g, AlgoRun& run) {
+    for (const EdgeId e : g.incident_edges(0)) {
+      run.orient[static_cast<std::size_t>(e)] =
+          g.endpoints(e).first == 0 ? std::int8_t{-1} : std::int8_t{1};
+    }
+  });
 }
 
 // Output digests and round counts of every registry entry on small fixed
@@ -175,6 +226,28 @@ TEST(ServeRegistry, UnknownParamRejected) {
   KV params;
   params["pallete"] = "4";
   EXPECT_THROW(algo->run(input, 100, EngineOptions{}, params), CheckFailure);
+}
+
+// Integer params are range-checked before they are narrowed to int.
+TEST(ServeRegistry, IntegerParamsOutOfRangeRejected) {
+  const BuiltGraph tree = build_graph(GraphSpec{"complete_tree", 1024, 16, 0});
+  const auto thm10 = make_algorithm("thm10");
+  const LocalInput input = prepare_input(*thm10, tree, 1);
+  for (const char* bad : {"4294967297", "0", "-1"}) {
+    KV params;
+    params["max_iterations"] = bad;
+    EXPECT_THROW(thm10->run(input, 1 << 16, EngineOptions{}, params),
+                 CheckFailure)
+        << bad;
+  }
+  KV params;
+  params["palette"] = "x";
+  EXPECT_THROW(kv_int(params, "palette", 0, 0, 64), CheckFailure);
+  params["palette"] = "65";
+  EXPECT_THROW(kv_int(params, "palette", 0, 0, 64), CheckFailure);
+  params["palette"] = "64";
+  EXPECT_EQ(kv_int(params, "palette", 0, 0, 64), 64);
+  EXPECT_EQ(kv_int(params, "absent", 7, 0, 64), 7);
 }
 
 TEST(ServeRegistry, SpinNeverCompletes) {
@@ -647,6 +720,39 @@ TEST(ServeServer, RejectsProtocolAbuse) {
   const double errors = server.counter("serve.errors");
   EXPECT_TRUE(server.handle_line("   "));
   EXPECT_EQ(server.counter("serve.errors"), errors);
+}
+
+// Integers from the wire are range-checked before they are narrowed: a
+// value that would wrap to a valid int (4294967297 to 1) or fall back to a
+// default (palette -7 to Δ+1) is an error, not a silently different job.
+TEST(ServeServer, RejectsIntegersThatWouldNarrow) {
+  LineLog log;
+  ServerOptions options;
+  options.workers = 1;
+  JobServer server(options, log.sink());
+  const std::vector<std::pair<std::string, std::string>> jobs = {
+      {"max_rounds", run_job_line("max_rounds", "luby",
+                                  ",\"max_rounds\":4294967297")},
+      {"d", "{\"op\":\"run\",\"id\":\"d\",\"algo\":\"luby\",\"graph\":"
+            "{\"family\":\"random_regular\",\"n\":64,\"d\":4294967299}}"},
+      {"step_limit", run_job_line("step_limit", "luby", ",\"step_limit\":-1")},
+      {"palette", run_job_line("palette", "plus_one",
+                               ",\"params\":{\"palette\":\"4294967300\"}")},
+      {"palette_neg", run_job_line("palette_neg", "plus_one",
+                                   ",\"params\":{\"palette\":\"-7\"}")},
+      {"phase1", run_job_line("phase1", "ghaffari",
+                              ",\"params\":{\"phase1_iterations\":"
+                              "\"4294967297\"}")},
+  };
+  for (const auto& [id, line] : jobs) server.handle_line(line);
+  server.drain();
+  for (const auto& [id, line] : jobs) {
+    const JsonValue doc = log.terminal_for(id);
+    const JsonValue* error = doc.find("error");
+    ASSERT_NE(error, nullptr) << id << ": " << line;
+    EXPECT_NE(error->string.find("outside"), std::string::npos)
+        << id << ": " << error->string;
+  }
 }
 
 // The pipe transport's backpressure: waiting for room between lines turns a
